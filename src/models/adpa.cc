@@ -1,14 +1,16 @@
 #include "src/models/adpa.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "src/amud/amud.h"
 #include "src/core/logging.h"
 #include "src/core/random.h"
 
 namespace adpa {
-namespace {
 
-std::vector<DirectedPattern> ChoosePatterns(const Dataset& dataset,
-                                            const ModelConfig& config) {
+std::vector<DirectedPattern> ChooseDpPatterns(const Dataset& dataset,
+                                              const ModelConfig& config) {
   const int max_order = std::max(1, config.pattern_order);
   if (config.select_patterns <= 0 || dataset.train_idx.size() < 2) {
     return EnumeratePatterns(max_order);
@@ -22,40 +24,65 @@ std::vector<DirectedPattern> ChoosePatterns(const Dataset& dataset,
   return selected.ok() ? *selected : EnumeratePatterns(max_order);
 }
 
-}  // namespace
-
-AdpaModel::AdpaModel(const Dataset& dataset, const ModelConfig& config,
-                     Rng* rng)
-    : AdpaModel(dataset, config, ChoosePatterns(dataset, config), rng) {}
-
-AdpaModel::AdpaModel(const Dataset& dataset, const ModelConfig& config,
-                     std::vector<DirectedPattern> patterns, Rng* rng)
-    : config_(config),
-      patterns_(std::move(patterns)),
-      steps_(std::max(1, config.propagation_steps)) {
-  const int64_t f = dataset.feature_dim();
-  const int64_t n = dataset.num_nodes();
-  const int64_t k = static_cast<int64_t>(patterns_.size());
-
-  // --- Stage 1: training-free K-step DP-guided propagation (Eq. 9). ---
+std::vector<std::vector<Matrix>> PropagateDp(
+    const Dataset& dataset, const ModelConfig& config,
+    const std::vector<DirectedPattern>& patterns) {
+  const int steps = std::max(1, config.propagation_steps);
+  const int64_t k = static_cast<int64_t>(patterns.size());
   PatternSet pattern_set(dataset.graph.AdjacencyMatrix(), config.conv_r,
                          config.propagation_self_loops);
   // Iterated per-pattern states X_g^(l) = G_g X_g^(l-1).
   std::vector<Matrix> state(k, dataset.features);
-  propagated_.resize(steps_);
-  for (int l = 0; l < steps_; ++l) {
-    std::vector<ag::Variable> blocks;
-    if (config_.initial_residual) {
-      blocks.push_back(ag::Constant(dataset.features));
-    }
-    pattern_set.ApplyStep(patterns_, &state);
-    for (int64_t g = 0; g < k; ++g) {
-      blocks.push_back(ag::Constant(state[g]));
-    }
-    propagated_[l] = std::move(blocks);
+  std::vector<std::vector<Matrix>> blocks(steps);
+  for (int l = 0; l < steps; ++l) {
+    if (config.initial_residual) blocks[l].push_back(dataset.features);
+    pattern_set.ApplyStep(patterns, &state);
+    for (int64_t g = 0; g < k; ++g) blocks[l].push_back(state[g]);
   }
+  return blocks;
+}
+
+DpLeaves ToDpLeaves(std::vector<std::vector<Matrix>> blocks) {
+  DpLeaves leaves(blocks.size());
+  for (size_t l = 0; l < blocks.size(); ++l) {
+    for (Matrix& block : blocks[l]) {
+      leaves[l].push_back(ag::Constant(std::move(block)));
+    }
+  }
+  return leaves;
+}
+
+AdpaModel::AdpaModel(const Dataset& dataset, const ModelConfig& config,
+                     Rng* rng)
+    : AdpaModel(dataset, config, ChooseDpPatterns(dataset, config), rng) {}
+
+AdpaModel::AdpaModel(const Dataset& dataset, const ModelConfig& config,
+                     const std::vector<DirectedPattern>& patterns, Rng* rng)
+    : AdpaModel(dataset, config, patterns,
+                ToDpLeaves(PropagateDp(dataset, config, patterns)), rng) {}
+
+AdpaModel::AdpaModel(const Dataset& dataset, const ModelConfig& config,
+                     const std::vector<DirectedPattern>& patterns,
+                     const DpLeaves& leaves, Rng* rng)
+    : config_(config),
+      patterns_(patterns),
+      steps_(std::max(1, config.propagation_steps)) {
+  const int64_t f = dataset.feature_dim();
+  const int64_t n = dataset.num_nodes();
+  const int64_t k = static_cast<int64_t>(patterns_.size());
   const int64_t blocks_per_step =
       k + (config_.initial_residual ? 1 : 0);
+
+  // --- Stage 1: the first K steps of the Eq. 9 leaves. ---
+  ADPA_CHECK(static_cast<int64_t>(leaves.size()) >= steps_)
+      << "Eq. 9 leaves cover " << leaves.size() << " steps, model needs "
+      << steps_;
+  propagated_.assign(leaves.begin(), leaves.begin() + steps_);
+  for (const std::vector<ag::Variable>& step : propagated_) {
+    ADPA_CHECK(static_cast<int64_t>(step.size()) == blocks_per_step)
+        << "Eq. 9 leaves have " << step.size() << " blocks per step, model "
+        << "needs " << blocks_per_step;
+  }
 
   // --- Stage 2 parameters: node-wise DP attention (Eq. 10). ---
   if (config_.use_dp_attention) {

@@ -8,12 +8,38 @@
 
 namespace adpa {
 
+/// The DP set ADPA propagates with under `config`: every pattern of order
+/// ≤ `config.pattern_order`, or, when `config.select_patterns` > 0, the
+/// strongest of them by correlation with the training labels (Sec. IV-B).
+/// Depends only on the graph, labels, train split and those two fields.
+std::vector<DirectedPattern> ChooseDpPatterns(const Dataset& dataset,
+                                              const ModelConfig& config);
+
+/// Training-free K-step DP-guided propagation (Eq. 9), the one
+/// implementation shared by AdpaModel, GridSearch and serving.
+/// blocks[l][g] is block g of step l+1: X^(0) first when
+/// `config.initial_residual`, then G_g^(l+1) X for every pattern in order,
+/// each num_nodes x feature_dim. Step l's blocks do not depend on K, so
+/// the first K steps of a longer propagation are exactly a K-step one.
+std::vector<std::vector<Matrix>> PropagateDp(
+    const Dataset& dataset, const ModelConfig& config,
+    const std::vector<DirectedPattern>& patterns);
+
+/// Eq. 9 blocks as constant autograd leaves, indexed like PropagateDp's
+/// result. ag::Backward only visits requires_grad nodes, so constant
+/// leaves are never written after construction and models on any number
+/// of threads may share one set.
+using DpLeaves = std::vector<std::vector<ag::Variable>>;
+
+/// Moves every block into an ag::Constant leaf (no copies).
+DpLeaves ToDpLeaves(std::vector<std::vector<Matrix>> blocks);
+
 /// ADPA — Adaptive Directed Pattern Aggregation (paper Sec. IV), the core
 /// contribution. The model decouples propagation from training:
 ///
 ///  1. *DP-guided feature propagation* (Eq. 9, training-free, cached at
-///     construction): for every directed pattern G_g of order ≤
-///     `config.pattern_order` and every step l = 1..K, compute
+///     construction by PropagateDp above): for every directed pattern G_g
+///     of order ≤ `config.pattern_order` and every step l = 1..K, compute
 ///     X_g^(l) = G_g X_g^(l-1), yielding K·k propagated blocks plus the
 ///     initial residual X^(0).
 ///  2. *Node-wise DP attention* (Eq. 10): per step l, fuse the k+1 blocks
@@ -39,7 +65,16 @@ class AdpaModel : public Model {
   /// (Sec. IV-B) depend on the training labels and split, so a checkpoint's
   /// recorded set cannot be safely re-derived at load time.
   AdpaModel(const Dataset& dataset, const ModelConfig& config,
-            std::vector<DirectedPattern> patterns, Rng* rng);
+            const std::vector<DirectedPattern>& patterns, Rng* rng);
+
+  /// Precomputed path, which the other two constructors delegate to: uses
+  /// the first K = `config.propagation_steps` steps of `leaves`, which
+  /// must be ToDpLeaves(PropagateDp(...)) for `patterns` under the same
+  /// propagation config at any K' ≥ K. The model aliases the leaves
+  /// rather than copying them, so one set can back many models at once.
+  AdpaModel(const Dataset& dataset, const ModelConfig& config,
+            const std::vector<DirectedPattern>& patterns,
+            const DpLeaves& leaves, Rng* rng);
 
   ag::Variable Forward(bool training, Rng* rng) override;
   std::vector<ag::Variable> Parameters() const override;
@@ -57,7 +92,8 @@ class AdpaModel : public Model {
   ModelConfig config_;
   std::vector<DirectedPattern> patterns_;
   int steps_;  // K
-  // propagated_[l][g]: block g of step l (g = 0 is the initial residual).
+  // propagated_[l][g]: block g of step l (g = 0 is the initial residual),
+  // aliasing the Eq. 9 leaves the model was built from.
   std::vector<std::vector<ag::Variable>> propagated_;
 
   // DP attention parameters (per variant; only the active set is created).

@@ -46,7 +46,7 @@ Result<ModelPtr> CreateModelWithPatterns(const std::string& name,
                                          std::vector<DirectedPattern> patterns,
                                          Rng* rng) {
   if (name == "ADPA" && !patterns.empty()) {
-    return ModelPtr(new AdpaModel(dataset, config, std::move(patterns), rng));
+    return ModelPtr(new AdpaModel(dataset, config, patterns, rng));
   }
   return CreateModel(name, dataset, config, rng);
 }

@@ -89,25 +89,6 @@ bool BlocksShapedLike(const std::vector<std::vector<Matrix>>& blocks,
 
 }  // namespace
 
-std::vector<std::vector<Matrix>> ComputePropagationBlocks(
-    const Dataset& dataset, const ModelConfig& config,
-    const std::vector<DirectedPattern>& patterns) {
-  // Mirrors the AdpaModel constructor's Eq. 9 loop exactly: iterated
-  // per-pattern states advanced one application per step.
-  const int steps = std::max(1, config.propagation_steps);
-  const int64_t k = static_cast<int64_t>(patterns.size());
-  PatternSet pattern_set(dataset.graph.AdjacencyMatrix(), config.conv_r,
-                         config.propagation_self_loops);
-  std::vector<Matrix> state(k, dataset.features);
-  std::vector<std::vector<Matrix>> blocks(steps);
-  for (int l = 0; l < steps; ++l) {
-    if (config.initial_residual) blocks[l].push_back(dataset.features);
-    pattern_set.ApplyStep(patterns, &state);
-    for (int64_t g = 0; g < k; ++g) blocks[l].push_back(state[g]);
-  }
-  return blocks;
-}
-
 Result<InferenceSession> InferenceSession::Create(
     const Checkpoint& checkpoint, const Dataset& dataset,
     const EngineOptions& options) {
@@ -168,8 +149,7 @@ Result<InferenceSession> InferenceSession::Create(
     }
   }
   if (!session.used_propagation_cache_) {
-    session.blocks_ =
-        ComputePropagationBlocks(dataset, config, checkpoint.patterns);
+    session.blocks_ = PropagateDp(dataset, config, checkpoint.patterns);
     if (!options.propagation_cache_path.empty() &&
         options.write_cache_on_miss) {
       PropagationCache cache;

@@ -7,6 +7,7 @@
 #include "src/core/thread_annotations.h"
 #include "src/data/dataset.h"
 #include "src/io/checkpoint.h"
+#include "src/models/adpa.h"
 #include "src/tensor/matrix.h"
 #include "src/tensor/workspace.h"
 
@@ -113,11 +114,12 @@ class InferenceSession {
   std::vector<LinearParams> classifier_;       // head MLP
 };
 
-/// Replays the training-free Eq. 9 precompute exactly as the AdpaModel
-/// constructor does: blocks[l] = [X^(0) if initial_residual] ++
-/// [G_g-propagated states after l+1 steps].
-std::vector<std::vector<Matrix>> ComputePropagationBlocks(
+/// The Eq. 9 precompute a session serves: exactly PropagateDp
+/// (src/models/adpa.h), under the name serving callers already use.
+inline std::vector<std::vector<Matrix>> ComputePropagationBlocks(
     const Dataset& dataset, const ModelConfig& config,
-    const std::vector<DirectedPattern>& patterns);
+    const std::vector<DirectedPattern>& patterns) {
+  return PropagateDp(dataset, config, patterns);
+}
 
 }  // namespace adpa::serve

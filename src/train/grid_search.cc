@@ -1,7 +1,10 @@
 #include "src/train/grid_search.h"
 
+#include <algorithm>
+
 #include "src/core/parallel.h"
 #include "src/core/random.h"
+#include "src/models/adpa.h"
 #include "src/models/factory.h"
 
 namespace adpa {
@@ -13,10 +16,18 @@ Result<GridSearchResult> GridSearch(const std::string& model_name,
                                     const GridSearchSpace& space,
                                     uint64_t seed) {
   ADPA_RETURN_IF_ERROR(dataset.Validate());
+  if (train_config.checkpoint_every != 0 ||
+      !train_config.checkpoint_path.empty() ||
+      !train_config.resume_from.empty()) {
+    return Status::InvalidArgument(
+        "GridSearch: checkpoint_every, checkpoint_path and resume_from must "
+        "be unset (parallel trials would share one snapshot)");
+  }
   // Degenerate axes fall back to the base configuration's value.
-  const std::vector<float> lrs = space.learning_rates.empty()
-                                     ? std::vector<float>{0.01f}
-                                     : space.learning_rates;
+  const std::vector<float> lrs =
+      space.learning_rates.empty()
+          ? std::vector<float>{train_config.learning_rate}
+          : space.learning_rates;
   const std::vector<float> dropouts = space.dropouts.empty()
                                           ? std::vector<float>{base_config
                                                                    .dropout}
@@ -54,6 +65,21 @@ Result<GridSearchResult> GridSearch(const std::string& model_name,
     return Status::InvalidArgument("empty search space");
   }
 
+  // ADPA's Eq. 9 input (graph, features, labels, split, pattern order and
+  // selection) is the same for every trial, and step l's blocks do not
+  // depend on K: select and propagate once at the largest K, and let each
+  // trial alias the first K steps. Neither draws from the trial Rng, so
+  // every trial computes the same bits as a standalone CreateModel.
+  const bool shared_propagation = model_name == "ADPA";
+  std::vector<DirectedPattern> patterns;
+  DpLeaves leaves;
+  if (shared_propagation) {
+    patterns = ChooseDpPatterns(dataset, base_config);
+    ModelConfig widest = base_config;
+    widest.propagation_steps = *std::max_element(steps.begin(), steps.end());
+    leaves = ToDpLeaves(PropagateDp(dataset, widest, patterns));
+  }
+
   // Trials are independent (own RNG, own model) and write disjoint slots,
   // so they run in parallel; the kernels inside each trial then run inline
   // (nested), which by the ParallelFor contract produces the same bits as
@@ -73,7 +99,10 @@ Result<GridSearchResult> GridSearch(const std::string& model_name,
       TrainConfig tc = train_config;
       tc.learning_rate = spec.lr;
       Rng rng(seed * 1000003 + static_cast<uint64_t>(trial_index) * 7919 + 13);
-      Result<ModelPtr> model = CreateModel(model_name, dataset, config, &rng);
+      Result<ModelPtr> model =
+          shared_propagation
+              ? ModelPtr(new AdpaModel(dataset, config, patterns, leaves, &rng))
+              : CreateModel(model_name, dataset, config, &rng);
       if (!model.ok()) {
         failures[trial_index] = model.status();
         continue;
@@ -89,8 +118,9 @@ Result<GridSearchResult> GridSearch(const std::string& model_name,
   for (const Status& status : failures) {
     ADPA_RETURN_IF_ERROR(status);
   }
-  // Winner selection stays serial and in trial order (strict >), so ties
-  // resolve exactly as in the sequential search.
+  // Winner selection stays serial and in trial order (strict >), so ties —
+  // including an all-zero grid — go to the earliest trial.
+  result.best = result.trials[0];
   for (const GridTrial& trial : result.trials) {
     if (trial.val_accuracy > result.best.val_accuracy) {
       result.best = trial;

@@ -36,9 +36,18 @@ struct GridSearchResult {
 };
 
 /// Exhaustively evaluates the grid for `model_name` on `dataset` and picks
-/// the configuration with the best validation accuracy. Each grid point
-/// trains once with a seed derived from its position, so the search is
-/// fully reproducible.
+/// the configuration with the best validation accuracy (ties go to the
+/// earlier trial). Trials are numbered in nested-loop order: learning rate
+/// outermost, then dropout, then K, then depth innermost. Trial i creates
+/// its model and trains it from one `Rng(seed * 1000003 + i * 7919 + 13)`,
+/// so the search is fully reproducible and each trial equals an
+/// independent CreateModel + TrainModel run with that seed.
+///
+/// For ADPA, DP selection and Eq. 9 propagation run once, at the grid's
+/// largest K, and each trial uses the first K steps of the shared blocks.
+///
+/// `train_config` must not request snapshots or a resume: parallel trials
+/// would share one snapshot path under different hyperparameters.
 Result<GridSearchResult> GridSearch(const std::string& model_name,
                                     const Dataset& dataset,
                                     const ModelConfig& base_config,

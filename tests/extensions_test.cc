@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/amud/amud.h"
+#include "src/core/parallel.h"
 #include "src/core/random.h"
 #include "src/data/generators.h"
 #include "src/data/splits.h"
@@ -58,16 +59,18 @@ TEST(GridSearchTest, EvaluatesFullGrid) {
 TEST(GridSearchTest, EmptyAxesFallBackToBaseConfig) {
   Dataset ds = SmallTask();
   GridSearchSpace space;
-  space.learning_rates = {0.01f};
+  space.learning_rates = {};  // keep the train config's rate
   space.dropouts = {};  // keep base dropout
   ModelConfig base;
   base.dropout = 0.33f;
   TrainConfig tc;
   tc.max_epochs = 10;
+  tc.learning_rate = 0.003f;
   Result<GridSearchResult> result = GridSearch("SGC", ds, base, tc, space);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->trials.size(), 1u);
   EXPECT_FLOAT_EQ(result->trials[0].model_config.dropout, 0.33f);
+  EXPECT_FLOAT_EQ(result->trials[0].learning_rate, 0.003f);
 }
 
 TEST(GridSearchTest, PropagatesUnknownModel) {
@@ -90,6 +93,91 @@ TEST(GridSearchTest, IsDeterministic) {
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ(a->best.val_accuracy, b->best.val_accuracy);
   EXPECT_DOUBLE_EQ(a->best.test_accuracy, b->best.test_accuracy);
+}
+
+TEST(GridSearchTest, AllZeroGridReturnsFirstTrial) {
+  // With no epochs every trial scores 0; the winner must still be a real
+  // trial (the first), not a default-constructed one.
+  Dataset ds = SmallTask();
+  GridSearchSpace space;
+  space.learning_rates = {0.05f, 0.02f};
+  space.dropouts = {};
+  ModelConfig base;
+  base.dropout = 0.37f;
+  TrainConfig tc;
+  tc.max_epochs = 0;
+  Result<GridSearchResult> result = GridSearch("SGC", ds, base, tc, space);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->trials.size(), 2u);
+  EXPECT_EQ(result->best.val_accuracy, 0.0);
+  EXPECT_FLOAT_EQ(result->best.learning_rate, 0.05f);
+  EXPECT_FLOAT_EQ(result->best.model_config.dropout, 0.37f);
+}
+
+TEST(GridSearchTest, RejectsSnapshotAndResumeFields) {
+  Dataset ds = SmallTask();
+  GridSearchSpace space;
+  space.learning_rates = {0.01f};
+  space.dropouts = {0.5f};
+  TrainConfig every;
+  every.checkpoint_every = 2;
+  TrainConfig path;
+  path.checkpoint_path = "grid.snapshot";
+  TrainConfig resume;
+  resume.resume_from = "grid.snapshot";
+  for (const TrainConfig& tc : {every, path, resume}) {
+    Result<GridSearchResult> result =
+        GridSearch("SGC", ds, ModelConfig(), tc, space);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(GridSearchTest, SharedAdpaPropagationMatchesPerTrialModels) {
+  // ADPA sweeps select and propagate once at the largest K; every trial
+  // must still equal a standalone CreateModel + TrainModel run with the
+  // documented per-trial seed, at any pool width.
+  Dataset ds = SmallTask(6, 0.6);
+  ModelConfig base;
+  base.hidden = 16;
+  base.select_patterns = 2;
+  GridSearchSpace space;
+  space.learning_rates = {0.02f};
+  space.dropouts = {0.2f, 0.6f};
+  space.propagation_steps = {1, 2, 3};
+  TrainConfig tc;
+  tc.max_epochs = 12;
+  tc.patience = 0;
+  const uint64_t seed = 9;
+
+  std::vector<GridSearchResult> runs;
+  for (int threads : {1, 4}) {
+    SetNumThreads(threads);
+    Result<GridSearchResult> result =
+        GridSearch("ADPA", ds, base, tc, space, seed);
+    ASSERT_TRUE(result.ok());
+    runs.push_back(std::move(*result));
+  }
+  SetNumThreads(0);
+
+  const std::vector<GridTrial>& trials = runs[0].trials;
+  ASSERT_EQ(trials.size(), 6u);
+  for (size_t i = 0; i < trials.size(); ++i) {
+    EXPECT_EQ(trials[i].model_config.propagation_steps,
+              space.propagation_steps[i % 3]);
+    EXPECT_EQ(trials[i].val_accuracy, runs[1].trials[i].val_accuracy);
+    EXPECT_EQ(trials[i].test_accuracy, runs[1].trials[i].test_accuracy);
+
+    Rng rng(seed * 1000003 + i * 7919 + 13);
+    Result<ModelPtr> model =
+        CreateModel("ADPA", ds, trials[i].model_config, &rng);
+    ASSERT_TRUE(model.ok());
+    TrainConfig trial_tc = tc;
+    trial_tc.learning_rate = trials[i].learning_rate;
+    const TrainResult alone = TrainModel(model->get(), ds, trial_tc, &rng);
+    EXPECT_EQ(trials[i].val_accuracy, alone.best_val_accuracy) << i;
+    EXPECT_EQ(trials[i].test_accuracy, alone.test_accuracy) << i;
+  }
 }
 
 // -------------------------------------------------------- Extended models --

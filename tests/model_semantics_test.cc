@@ -320,5 +320,48 @@ TEST(AdpaSemanticsTest, EvalForwardIsDeterministicAndDropoutFree) {
       << "training forward should differ once dropout fires";
 }
 
+TEST(AdpaSemanticsTest, SharedLeafPrefixEqualsStandaloneModel) {
+  // A K = 2 model built on the first two steps of a K = 3 propagation must
+  // be the standalone K = 2 model bit for bit, before and after training,
+  // and training it must leave the shared constant leaves untouched.
+  Dataset ds = Tiny(17);
+  ModelConfig config;
+  config.hidden = 16;
+  config.propagation_steps = 2;
+  config.select_patterns = 3;
+  ModelConfig widest = config;
+  widest.propagation_steps = 3;
+  const std::vector<DirectedPattern> patterns = ChooseDpPatterns(ds, config);
+  const DpLeaves leaves = ToDpLeaves(PropagateDp(ds, widest, patterns));
+
+  Rng shared_rng(17);
+  Rng alone_rng(17);
+  AdpaModel shared(ds, config, patterns, leaves, &shared_rng);
+  AdpaModel alone(ds, config, &alone_rng);
+  ASSERT_EQ(shared.patterns(), alone.patterns());
+  TrainConfig tc;
+  tc.max_epochs = 5;
+  tc.patience = 0;
+  TrainModel(&shared, ds, tc, &shared_rng);
+  TrainModel(&alone, ds, tc, &alone_rng);
+  const Matrix a = shared.Forward(/*training=*/false, nullptr).value();
+  const Matrix b = alone.Forward(/*training=*/false, nullptr).value();
+  ASSERT_TRUE(a.SameShape(b));
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), sizeof(float) * a.size()), 0);
+
+  const std::vector<std::vector<Matrix>> fresh =
+      PropagateDp(ds, widest, patterns);
+  for (size_t l = 0; l < fresh.size(); ++l) {
+    for (size_t g = 0; g < fresh[l].size(); ++g) {
+      const ag::Variable& leaf = leaves[l][g];
+      EXPECT_FALSE(leaf.requires_grad());
+      EXPECT_TRUE(leaf.grad().empty());
+      EXPECT_EQ(std::memcmp(leaf.value().data(), fresh[l][g].data(),
+                            sizeof(float) * fresh[l][g].size()),
+                0);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace adpa
