@@ -6,8 +6,9 @@
 namespace adpa {
 
 /// Minimal `--key=value` / `--key value` command-line parser shared by the
-/// bench and example binaries. Unknown flags are rejected so typos in sweep
-/// scripts fail loudly instead of silently running the default config.
+/// tools, bench and example binaries. Parse rejects only positional
+/// arguments; unknown flags are accepted and never read, so a misspelled or
+/// retired flag silently runs the default config.
 class Flags {
  public:
   /// Parses argv. Returns false and prints a diagnostic on malformed input.

@@ -113,7 +113,6 @@ class ThreadPool {
     {
       MutexLock lock(&job->done_mutex);
       while (job->remaining.load(std::memory_order_acquire) != 0) {
-        // analyze:allow(unchecked-status): CondVar::Wait is void, name-collides with Ticket::Wait
         job->done_cv.Wait(&job->done_mutex);
       }
       error = job->error;
@@ -136,7 +135,6 @@ class ThreadPool {
       std::shared_ptr<Job> job;
       {
         MutexLock lock(&mutex_);
-        // analyze:allow(unchecked-status): CondVar::Wait is void, name-collides with Ticket::Wait
         while (!stop_ && jobs_.empty()) wake_cv_.Wait(&mutex_);
         if (stop_) return;
         job = jobs_.front();

@@ -48,9 +48,9 @@ class LineFramer {
   Next NextLine(std::string* line);
 
   /// Hands out a non-empty unterminated trailing line, if one is buffered
-  /// (mirrors the stdin server, which serves a final line without '\n' at
-  /// EOF). Returns false when nothing (or only emptiness) remains. Only
-  /// meaningful after the peer sent EOF; never returns oversized data.
+  /// (the server answers a final line without '\n' at EOF). Returns false
+  /// when nothing (or only emptiness) remains. Only meaningful after the
+  /// peer sent EOF; never returns oversized data.
   bool TakeRemainder(std::string* line);
 
   /// Bytes currently buffered (diagnostics and tests).

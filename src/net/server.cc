@@ -40,53 +40,91 @@ Server::Server(const ServerOptions& options, serve::SessionRegistry* registry,
                serve::ServeMetrics* metrics)
     : options_(options),
       registry_(registry),
-      batcher_(*registry, metrics, options.batcher) {}
+      batcher_(metrics, options.batcher) {}
 
 Server::~Server() = default;
 
-Result<std::unique_ptr<Server>> Server::Create(
-    const ServerOptions& options, serve::SessionRegistry* registry,
-    serve::ServeMetrics* metrics) {
+Result<std::unique_ptr<Server>> Server::New(const ServerOptions& options,
+                                            serve::SessionRegistry* registry,
+                                            serve::ServeMetrics* metrics) {
   if (registry == nullptr) {
-    return Status::InvalidArgument("Server::Create: registry must not be null");
+    return Status::InvalidArgument("net::Server: registry must not be null");
   }
   std::unique_ptr<Server> server(new Server(options, registry, metrics));
-  ADPA_RETURN_IF_ERROR(server->SetupSockets());
-  return server;
-}
-
-Status Server::SetupSockets() {
-  Result<ListenSocket> listener = ListenTcp(options_.host, options_.port);
-  if (!listener.ok()) return listener.status();
-  listener_ = std::move(*listener);
-  port_ = listener_.port;
-
   const int epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd < 0) return ErrnoStatus("epoll_create1");
-  epoll_.Reset(epoll_fd);
+  server->epoll_.Reset(epoll_fd);
 
   int pipe_fds[2];
   if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) != 0) {
     return ErrnoStatus("pipe2");
   }
-  wake_reader_.Reset(pipe_fds[0]);
-  wake_writer_.Reset(pipe_fds[1]);
+  server->wake_reader_.Reset(pipe_fds[0]);
+  server->wake_writer_.Reset(pipe_fds[1]);
+  if (!server->Watch(pipe_fds[0])) return ErrnoStatus("epoll_ctl(wake pipe)");
+  return server;
+}
+
+Result<std::unique_ptr<Server>> Server::Create(
+    const ServerOptions& options, serve::SessionRegistry* registry,
+    serve::ServeMetrics* metrics) {
+  Result<std::unique_ptr<Server>> made = New(options, registry, metrics);
+  if (!made.ok()) return made.status();
+  std::unique_ptr<Server> server = std::move(*made);
+  Result<ListenSocket> listener = ListenTcp(options.host, options.port);
+  if (!listener.ok()) return listener.status();
+  server->listener_ = std::move(*listener);
+  server->port_ = server->listener_.port;
+  if (!server->Watch(server->listener_.fd.get())) {
+    return ErrnoStatus("epoll_ctl(listener)");
+  }
 
   // Emergency descriptor for EMFILE storms on accept. Held open from the
   // start so the reserve exists even once the table is full.
   const int reserve = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
   if (reserve < 0) return ErrnoStatus("open(/dev/null)");
-  reserve_fd_.Reset(reserve);
+  server->reserve_fd_.Reset(reserve);
+  return server;
+}
 
-  for (const int fd : {listener_.fd.get(), wake_reader_.get()}) {
-    epoll_event event{};
-    event.events = EPOLLIN;
-    event.data.fd = fd;
-    if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, fd, &event) != 0) {
-      return ErrnoStatus("epoll_ctl(add)");
-    }
+Result<std::unique_ptr<Server>> Server::CreateStdio(
+    const ServerOptions& options, serve::SessionRegistry* registry,
+    serve::ServeMetrics* metrics, int in_fd, int out_fd) {
+  // Checked before the loop opens descriptors of its own, which would
+  // otherwise take over a closed stdin's number.
+  if (::fcntl(in_fd, F_GETFL) < 0 || ::fcntl(out_fd, F_GETFL) < 0) {
+    return ErrnoStatus("stdio descriptor check");
   }
-  return Status::OK();
+  Result<std::unique_ptr<Server>> made = New(options, registry, metrics);
+  if (!made.ok()) return made.status();
+  std::unique_ptr<Server> server = std::move(*made);
+  auto conn = std::make_unique<Connection>(FdOwner(), in_fd, out_fd,
+                                           options.max_line_bytes);
+  if (server->Watch(in_fd)) {
+    conn->interest = EPOLLIN;
+  } else if (errno == EPERM) {
+    server->unpolled_fd_ = in_fd;  // regular file or /dev/null
+  } else {
+    return ErrnoStatus("epoll_ctl(stdin)");
+  }
+  server->Adopt(std::move(conn));
+  return server;
+}
+
+bool Server::Watch(int fd) {
+  epoll_event event{};
+  event.events = EPOLLIN;
+  event.data.fd = fd;
+  return ::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, fd, &event) == 0;
+}
+
+void Server::Adopt(std::unique_ptr<Connection> conn) {
+  if (HygieneEnabled()) {
+    // lint:allow(deterministic-randomness) — hygiene clock, not results
+    conn->last_read = std::chrono::steady_clock::now();
+  }
+  const int key = conn->in_fd;
+  connections_.emplace(key, std::move(conn));
 }
 
 void Server::RequestStop() const { SendWakeByte(wake_writer_.get(), 'T'); }
@@ -95,10 +133,9 @@ void Server::RequestReload() const { SendWakeByte(wake_writer_.get(), 'H'); }
 
 Status Server::Serve() {
   std::array<epoll_event, 64> events;
-  while (true) {
+  while (listener_.fd.valid() || !connections_.empty()) {
     int timeout_ms = -1;
     if (draining_) {
-      if (connections_.empty()) break;
       // lint:allow(deterministic-randomness) — drain budget, not results
       const auto now = std::chrono::steady_clock::now();
       if (now >= drain_deadline_) {
@@ -118,6 +155,12 @@ Status Server::Serve() {
         timeout_ms = hygiene_ms;
       }
     }
+    // An input epoll refused is always readable: poll without sleeping and
+    // read it once per turn, like a level-triggered report.
+    const auto unpolled = connections_.find(unpolled_fd_);
+    const bool read_unpolled =
+        unpolled != connections_.end() && Reading(*unpolled->second);
+    if (read_unpolled) timeout_ms = 0;
 
     const int ready = ::epoll_wait(epoll_.get(), events.data(),
                                    static_cast<int>(events.size()),
@@ -133,23 +176,23 @@ Status Server::Serve() {
         HandleWake();
       } else if (fd == listener_.fd.get()) {
         HandleAccept();
-      } else {
+      } else if ((events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0) {
         HandleReadable(fd);
       }
     }
+    if (read_unpolled) HandleReadable(unpolled_fd_);
 
     if (HygieneEnabled()) EnforceHygiene();
 
-    // All requests harvested this wakeup — including lines from several
-    // connections readable at once — coalesce through one pump pass.
-    PumpQueue();
+    // All requests harvested this turn — including lines from several
+    // connections readable at once — coalesce through one flush.
+    FlushQueue();
     for (auto& [fd, conn] : connections_) {
       if (conn->dead) continue;
       ResolvePending(conn.get());
       FlushWrites(conn.get());
     }
     CollectFinished();
-    if (draining_ && connections_.empty()) break;
   }
   return Status::OK();
 }
@@ -164,11 +207,11 @@ void Server::HandleWake() {
     for (ssize_t i = 0; i < got; ++i) {
       if (commands[i] == 'T') {
         StartDrain();
-      } else if (commands[i] == 'H') {
+      } else if (commands[i] == 'H' && options_.allow_reload) {
         // SIGHUP convention: re-read the last loaded checkpoint path.
         // Answer everything already queued with the old session first so
         // the reply stream has a clean swap boundary.
-        PumpQueue();
+        FlushQueue();
         const Result<serve::SessionRegistry::ReloadInfo> info =
             registry_->ReloadCurrent();
         if (info.ok()) {
@@ -203,21 +246,14 @@ void Server::HandleAccept() {
       continue;  // the AcceptResult closes the surplus fd
     }
     const int fd = accepted->fd.get();
-    auto conn = std::make_unique<Connection>(std::move(accepted->fd),
-                                             options_.max_line_bytes);
-    if (HygieneEnabled()) {
-      // lint:allow(deterministic-randomness) — hygiene clock, not results
-      conn->last_read = std::chrono::steady_clock::now();
-    }
-    epoll_event event{};
-    event.events = EPOLLIN;
-    event.data.fd = fd;
-    if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, fd, &event) != 0) {
+    if (!Watch(fd)) {
       ++stats_.io_errors;
-      continue;  // conn (and its fd) die at scope exit
+      continue;  // the AcceptResult closes the fd
     }
+    auto conn = std::make_unique<Connection>(std::move(accepted->fd), fd, fd,
+                                             options_.max_line_bytes);
     conn->interest = EPOLLIN;
-    connections_.emplace(fd, std::move(conn));
+    Adopt(std::move(conn));
     ++stats_.accepted;
   }
 }
@@ -243,24 +279,27 @@ void Server::HandleReadable(int fd) {
   const auto it = connections_.find(fd);
   if (it == connections_.end()) return;  // closed earlier in this batch
   Connection* conn = it->second.get();
+  if (!Reading(*conn)) return;
+  // Exactly one read per readiness report: stdin stays blocking (it is
+  // shared with the parent process), so a second read could stall the
+  // loop, and level-triggered epoll re-reports whatever is left. It also
+  // bounds what one turn can queue between flushes.
   char chunk[16384];
-  while (!conn->dead && !conn->close_after_flush && !conn->peer_eof &&
-         !draining_) {
-    const Result<IoResult> got =
-        ReadSome(fd, chunk, sizeof(chunk));
-    if (!got.ok()) {
-      // Mid-stream read failure: the protocol state is unknown, so there
-      // is nothing meaningful left to answer — drop the connection.
-      ++stats_.io_errors;
-      conn->dead = true;
-      return;
-    }
-    if (got->closed) {
-      conn->peer_eof = true;
-      ++stats_.closed_by_peer;
-      break;
-    }
-    if (got->would_block || got->bytes == 0) break;
+  const Result<IoResult> got = ReadSome(fd, chunk, sizeof(chunk));
+  if (!got.ok()) {
+    // Mid-stream read failure: the protocol state is unknown, so there
+    // is nothing meaningful left to answer — drop the connection.
+    ++stats_.io_errors;
+    conn->dead = true;
+    return;
+  }
+  if (got->closed) {
+    conn->peer_eof = true;
+    ++stats_.closed_by_peer;
+    // Serve a final unterminated line.
+    std::string last;
+    if (conn->framer.TakeRemainder(&last)) HandleLine(conn, last);
+  } else if (got->bytes > 0) {
     const size_t buffered_before = conn->framer.buffered_bytes();
     conn->framer.Append(chunk, static_cast<size_t>(got->bytes));
     ProcessLines(conn);
@@ -282,11 +321,6 @@ void Server::HandleReadable(int fd) {
         conn->partial_since = now;
       }
     }
-  }
-  if (conn->peer_eof && !conn->dead && !conn->close_after_flush) {
-    // Serve a final unterminated line, mirroring the stdin server at EOF.
-    std::string last;
-    if (conn->framer.TakeRemainder(&last)) HandleLine(conn, last);
   }
   UpdateInterest(conn);
 }
@@ -314,9 +348,10 @@ void Server::ProcessLines(Connection* conn) {
 }
 
 void Server::HandleLine(Connection* conn, const std::string& line) {
-  if (line.empty()) return;  // blank lines are ignored, as in stdin mode
+  if (line.empty()) return;  // blank lines are ignored
   Result<serve::ServeRequest> request = serve::ParseRequestLine(line);
-  PendingReply reply;
+  conn->pending.emplace_back();
+  PendingReply& reply = conn->pending.back();
   if (!request.ok()) {
     reply.immediate = serve::FormatErrorReply(-1, request.status().message());
   } else if (request->is_reload) {
@@ -326,7 +361,7 @@ void Server::HandleLine(Connection* conn, const std::string& line) {
     } else {
       // Flush queries received ahead of the reload so they are answered by
       // the old session: the swap lands on a clean reply boundary.
-      PumpQueue();
+      FlushQueue();
       const Result<serve::SessionRegistry::ReloadInfo> info =
           registry_->Reload(request->reload_path);
       if (info.ok()) {
@@ -340,31 +375,31 @@ void Server::HandleLine(Connection* conn, const std::string& line) {
       }
     }
   } else {
-    reply.has_ticket = true;
     reply.id = request->id;
-    reply.ticket =
-        batcher_.Submit(std::move(request->nodes), request->deadline_ms);
+    batcher_.Submit(std::move(request->nodes), request->deadline_ms,
+                    &reply.answer);
   }
-  conn->pending.push_back(std::move(reply));
 }
 
-void Server::PumpQueue() {
-  // PumpOnce blocks on the condvar when the queue is empty (it was built
-  // for a dedicated pump thread); the event loop — like the stdin server —
-  // only pumps while work is queued.
-  while (batcher_.queue_depth() > 0) batcher_.PumpOnce();
+void Server::FlushQueue() {
+  if (batcher_.queue_depth() == 0) return;
+  // Pin the serving session for the whole flush: even a reload from
+  // another thread cannot release the model under an in-flight forward.
+  const std::shared_ptr<const serve::InferenceSession> session =
+      registry_->Current();
+  batcher_.Flush(session.get());
 }
 
 void Server::ResolvePending(Connection* conn) {
   while (!conn->pending.empty()) {
     PendingReply& front = conn->pending.front();
     std::string reply;
-    if (!front.has_ticket) {
+    if (!front.answer) {
       reply = std::move(front.immediate);
     } else {
-      // The queue was pumped dry before this runs, so every submitted
-      // ticket is already delivered: Wait returns without blocking.
-      Result<std::vector<int64_t>> classes = front.ticket.Wait();
+      // The queue was flushed before this runs, so every submitted query
+      // is already answered.
+      const Result<std::vector<int64_t>>& classes = *front.answer;
       if (classes.ok()) {
         reply = serve::FormatClassesReply(front.id, *classes);
       } else if (classes.status().code() == StatusCode::kUnavailable) {
@@ -391,9 +426,11 @@ void Server::ResolvePending(Connection* conn) {
 void Server::FlushWrites(Connection* conn) {
   while (conn->out_offset < conn->out.size()) {
     const Result<IoResult> wrote =
-        WriteSome(conn->fd.get(), conn->out.data() + conn->out_offset,
+        WriteSome(conn->out_fd, conn->out.data() + conn->out_offset,
                   conn->out.size() - conn->out_offset);
-    if (!wrote.ok()) {
+    // A separate output (stdout) is written blocking and is not polled, so
+    // EAGAIN there is a failure too: the descriptor was left non-blocking.
+    if (!wrote.ok() || (wrote->would_block && conn->out_fd != conn->in_fd)) {
       ++stats_.io_errors;
       conn->dead = true;
       return;
@@ -418,20 +455,20 @@ void Server::FlushWrites(Connection* conn) {
 }
 
 void Server::UpdateInterest(Connection* conn) {
-  if (conn->dead) return;
+  if (conn->dead || conn->in_fd == unpolled_fd_) return;
   uint32_t want = 0;
   // Once reading stops (EOF, condemned stream, drain), EPOLLIN must come
   // off the mask: a level-triggered EOF or unread payload would otherwise
   // wake the loop continuously.
-  if (!conn->peer_eof && !conn->close_after_flush && !draining_) {
-    want |= EPOLLIN;
+  if (Reading(*conn)) want |= EPOLLIN;
+  if (conn->out_fd == conn->in_fd && conn->out_offset < conn->out.size()) {
+    want |= EPOLLOUT;
   }
-  if (conn->out_offset < conn->out.size()) want |= EPOLLOUT;
   if (want == conn->interest) return;
   epoll_event event{};
   event.events = want;
-  event.data.fd = conn->fd.get();
-  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, conn->fd.get(), &event) != 0) {
+  event.data.fd = conn->in_fd;
+  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, conn->in_fd, &event) != 0) {
     ++stats_.io_errors;
     conn->dead = true;
     return;
@@ -442,7 +479,8 @@ void Server::UpdateInterest(Connection* conn) {
 void Server::CollectFinished() {
   for (auto it = connections_.begin(); it != connections_.end();) {
     if (it->second->dead) {
-      // Closing the fd (FdOwner destructor) deregisters it from epoll.
+      // Closing a TCP socket (FdOwner destructor) deregisters it from
+      // epoll; a stdio connection closes nothing, and Serve() returns.
       it = connections_.erase(it);
     } else {
       ++it;
@@ -515,7 +553,8 @@ void Server::StartDrain() {
   // lint:allow(deterministic-randomness) — drain budget, not results
   drain_deadline_ = std::chrono::steady_clock::now() + kDrainBudget;
   // Stop accepting: closing the listener both refuses new connections and
-  // removes it from the epoll set.
+  // removes it from the epoll set. Serve() returns once the last
+  // connection closes.
   listener_.fd.Reset();
   // Answer every complete request already buffered; an unterminated
   // partial line was never finished by the client and is discarded.

@@ -47,12 +47,13 @@ struct ServerOptions {
   int64_t stall_timeout_ms = 0;
 
   /// Queue-full reject and deadline-shed semantics are the batcher's
-  /// (DESIGN.md §10 degradation matrix) — they apply per request exactly as
-  /// in stdin mode.
+  /// (DESIGN.md §10 degradation matrix) — they apply per request on every
+  /// connection, stdio included.
   serve::MicroBatcher::Options batcher;
 
   /// When false, {"reload": ...} admin requests are answered with an error
-  /// instead of swapping checkpoints.
+  /// instead of swapping checkpoints, and reload wakes (SIGHUP,
+  /// RequestReload) are ignored.
   bool allow_reload = true;
 };
 
@@ -73,41 +74,57 @@ struct ServerStats {
                                      ///< reserved emergency fd
 };
 
-/// epoll-based multi-client JSONL inference server (DESIGN.md §14).
+/// epoll-based JSONL inference server (DESIGN.md §14).
 ///
-/// One thread runs Serve(): it owns every socket, the LineFramer per
-/// connection, and the batcher pump, so the network layer needs no locks at
+/// One thread runs Serve(): it owns every connection, the LineFramer per
+/// connection, and the batcher, so the network layer needs no locks at
 /// all — concurrency lives in the kernel (epoll) and in the ParallelFor
-/// worker pool under each coalesced forward. Clients connect over TCP,
-/// write one JSONL request per line, and read one reply line per request,
-/// in order, per connection. Requests from concurrently readable
-/// connections coalesce into shared batches through the existing
+/// worker pool under each coalesced forward. A connection is either a TCP
+/// client (Create) or the process's own stdin/stdout (CreateStdio); both
+/// run through the same loop and handlers. Clients write one JSONL request
+/// per line and read one reply line per request, in order, per connection.
+/// Requests read in one loop turn coalesce into shared batches through the
 /// MicroBatcher, keeping its queue-full reject and deadline-shed semantics
 /// per request.
 ///
 /// Admin: {"reload": "path"} loads the checkpoint and atomically swaps it
 /// into the SessionRegistry; queries already received ahead of the reload
-/// are answered by the old session before the swap (the pump is flushed
+/// are answered by the old session before the swap (the queue is flushed
 /// first), so every connection sees a clean old→new reply boundary.
 ///
 /// Shutdown: RequestStop() (or a signal handler writing 'T' to wake_fd())
-/// stops accepting, answers everything already received, flushes every
-/// write buffer, and returns from Serve(). RequestReload() / 'H' re-reads
-/// the last loaded checkpoint path (the SIGHUP convention).
+/// stops accepting and reading, answers everything already received,
+/// flushes every write buffer, and returns from Serve(). Serve() also
+/// returns on its own once there is no listener and no open connection —
+/// for a stdio server, once stdin reached EOF and the replies are written.
+/// RequestReload() / 'H' re-reads the last loaded checkpoint path (the
+/// SIGHUP convention).
 class Server {
  public:
-  /// `registry` and `metrics` must outlive the server; `metrics` may be
-  /// null. The registry may be empty (no session yet) — queries are then
-  /// answered with a structured error until a reload succeeds.
+  /// TCP server bound to options.host:options.port. `registry` and
+  /// `metrics` must outlive the server; `metrics` may be null. The registry
+  /// may be empty (no session yet) — queries are then answered with a
+  /// structured error until a reload succeeds.
   static Result<std::unique_ptr<Server>> Create(
       const ServerOptions& options, serve::SessionRegistry* registry,
       serve::ServeMetrics* metrics);
+
+  /// Server over one connection that reads requests from `in_fd` and writes
+  /// replies to `out_fd` (stdin/stdout); options.host/port are unused.
+  /// The descriptors stay the caller's: they are never closed and never
+  /// switched to non-blocking (fd 0 and 1 are shared with the parent
+  /// process). An input epoll cannot watch (a regular file, /dev/null)
+  /// counts as always readable. Output is written blocking, so a slow
+  /// reader applies backpressure instead of hitting the write-buffer cap.
+  static Result<std::unique_ptr<Server>> CreateStdio(
+      const ServerOptions& options, serve::SessionRegistry* registry,
+      serve::ServeMetrics* metrics, int in_fd, int out_fd);
 
   ~Server();
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// The bound port (== options.port unless that was 0).
+  /// The bound port (== options.port unless that was 0; 0 for stdio).
   uint16_t port() const { return port_; }
 
   /// Write end of the self-pipe. Async-signal-safe wakeups: write a single
@@ -118,10 +135,11 @@ class Server {
   void RequestStop() const;
   void RequestReload() const;
 
-  /// Serves until a stop request, then drains: stops accepting, answers
-  /// every request already received, flushes replies (bounded by a 5 s
-  /// drain budget per loop exit), closes all connections. Only
-  /// environmental failures (epoll itself breaking) return non-OK;
+  /// Serves until a stop request, then drains: stops accepting and
+  /// reading, answers every request already received, flushes replies
+  /// (bounded by a 5 s drain budget per loop exit), closes all
+  /// connections. Returns once there is no listener and no open connection.
+  /// Only environmental failures (epoll itself breaking) return non-OK;
   /// per-connection errors are counted in stats() and survived.
   ADPA_NODISCARD Status Serve();
 
@@ -129,20 +147,28 @@ class Server {
 
  private:
   struct PendingReply {
-    bool has_ticket = false;
     int64_t id = 0;
-    serve::MicroBatcher::Ticket ticket;
+    /// A submitted query's answer, filled by the batcher; empty for a
+    /// reply formatted at once.
+    serve::MicroBatcher::Slot answer;
     std::string immediate;  ///< pre-formatted reply (errors, reload acks)
   };
 
   struct Connection {
-    Connection(FdOwner socket, size_t max_line_bytes)
-        : fd(std::move(socket)), framer(max_line_bytes) {}
+    Connection(FdOwner socket, int in, int out, size_t max_line_bytes)
+        : socket(std::move(socket)),
+          in_fd(in),
+          out_fd(out),
+          framer(max_line_bytes) {}
 
-    FdOwner fd;
+    FdOwner socket;  ///< a TCP client's descriptor; invalid for stdio
+    int in_fd;       ///< read side, and the epoll/connections_ key
+    int out_fd;      ///< write side (== in_fd for TCP)
     LineFramer framer;
-    std::deque<PendingReply> pending;  ///< replies owed, in request order
-    std::string out;                   ///< bytes owed to the socket
+    /// Replies owed, in request order. A deque keeps each element's
+    /// `answer` slot at a stable address while the batcher holds it.
+    std::deque<PendingReply> pending;
+    std::string out;                   ///< bytes owed to out_fd
     size_t out_offset = 0;
     bool peer_eof = false;           ///< no more requests; close once idle
     bool close_after_flush = false;  ///< condemned (oversized line)
@@ -161,7 +187,19 @@ class Server {
   Server(const ServerOptions& options, serve::SessionRegistry* registry,
          serve::ServeMetrics* metrics);
 
-  Status SetupSockets();
+  /// A server with its epoll set and wake self-pipe (both factories).
+  static Result<std::unique_ptr<Server>> New(const ServerOptions& options,
+                                             serve::SessionRegistry* registry,
+                                             serve::ServeMetrics* metrics);
+  /// Adds `fd` to the epoll set for EPOLLIN; false (errno set) on failure.
+  bool Watch(int fd);
+  /// Takes ownership of a new connection, keyed by its in_fd.
+  void Adopt(std::unique_ptr<Connection> conn);
+  /// Whether the loop still reads requests from `conn`.
+  bool Reading(const Connection& conn) const {
+    return !conn.dead && !conn.close_after_flush && !conn.peer_eof &&
+           !draining_;
+  }
   void HandleWake();
   void HandleAccept();
   /// EMFILE/ENFILE on accept: burn the reserved emergency fd to accept one
@@ -173,7 +211,9 @@ class Server {
   void HandleReadable(int fd);
   void ProcessLines(Connection* conn);
   void HandleLine(Connection* conn, const std::string& line);
-  void PumpQueue();
+  /// Answers everything queued, pinning the registry's current session
+  /// for the whole flush.
+  void FlushQueue();
   void ResolvePending(Connection* conn);
   void FlushWrites(Connection* conn);
   void UpdateInterest(Connection* conn);
@@ -193,7 +233,7 @@ class Server {
   serve::SessionRegistry* const registry_;
   serve::MicroBatcher batcher_;
 
-  ListenSocket listener_;
+  ListenSocket listener_;  ///< invalid for stdio and once draining
   uint16_t port_ = 0;
   FdOwner epoll_;
   FdOwner wake_reader_;
@@ -201,6 +241,10 @@ class Server {
   /// Reserved emergency descriptor (/dev/null), closed and re-opened to
   /// absorb EMFILE storms on accept — see DrainAcceptWithReserveFd.
   FdOwner reserve_fd_;
+  /// The stdio input epoll refused (regular file, /dev/null), or -1. The
+  /// loop never sleeps while it can still deliver bytes and reads it once
+  /// per turn.
+  int unpolled_fd_ = -1;
 
   std::map<int, std::unique_ptr<Connection>> connections_;
   bool draining_ = false;

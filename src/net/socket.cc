@@ -132,7 +132,7 @@ Result<IoResult> ReadSome(int fd, char* buffer, size_t cap) {
   if (!ADPA_FAILPOINT_STATUS("net.read.short").ok() && cap > 1) cap = 1;
   IoResult result;
   while (true) {
-    const ssize_t got = ::recv(fd, buffer, cap, 0);
+    const ssize_t got = ::read(fd, buffer, cap);
     if (got > 0) {
       result.bytes = got;
       return result;
@@ -150,7 +150,7 @@ Result<IoResult> ReadSome(int fd, char* buffer, size_t cap) {
       result.closed = true;
       return result;
     }
-    return Errno("recv");
+    return Errno("read");
   }
 }
 
@@ -159,7 +159,10 @@ Result<IoResult> WriteSome(int fd, const char* data, size_t size) {
   if (!ADPA_FAILPOINT_STATUS("net.write.short").ok() && size > 1) size = 1;
   IoResult result;
   while (true) {
-    const ssize_t sent = ::send(fd, data, size, MSG_NOSIGNAL);
+    ssize_t sent = ::send(fd, data, size, MSG_NOSIGNAL);
+    // Pipes and files (stdout) are not sockets; the process ignores
+    // SIGPIPE, so a plain write reports a vanished reader as EPIPE too.
+    if (sent < 0 && errno == ENOTSOCK) sent = ::write(fd, data, size);
     if (sent >= 0) {
       result.bytes = sent;
       return result;
@@ -173,7 +176,7 @@ Result<IoResult> WriteSome(int fd, const char* data, size_t size) {
       result.closed = true;
       return result;
     }
-    return Errno("send");
+    return Errno("write");
   }
 }
 

@@ -9,7 +9,7 @@
 /// its .cc are (with framing/server) the only places in src/ allowed to
 /// touch raw socket/epoll syscalls — the `socket-isolation` lint rule
 /// mirrors `simd-isolation` so the network surface stays auditable in one
-/// directory. Everything is non-blocking: the event loop in
+/// directory. Sockets are non-blocking: the event loop in
 /// src/net/server.cc owns all waiting.
 namespace adpa::net {
 
@@ -37,12 +37,6 @@ class FdOwner {
   bool valid() const { return fd_ >= 0; }
   /// Closes the held descriptor (if any) and adopts `fd`.
   void Reset(int fd = -1);
-  /// Relinquishes ownership without closing.
-  int Release() {
-    const int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
 
  private:
   int fd_ = -1;
@@ -85,14 +79,17 @@ struct IoResult {
   bool closed = false;  ///< read: peer sent EOF; write: peer vanished
 };
 
-/// One ::recv attempt (retries EINTR). Failpoints: `net.read` injects a
-/// syscall-level failure, `net.read.short` caps the read at 1 byte so every
-/// framing path is exercised under byte-at-a-time delivery.
+/// One ::read attempt (retries EINTR) — on a socket, the same as recv with
+/// no flags, and it also reads pipes and files (stdin). Failpoints:
+/// `net.read` injects a syscall-level failure, `net.read.short` caps the
+/// read at 1 byte so every framing path is exercised under byte-at-a-time
+/// delivery.
 ADPA_NODISCARD Result<IoResult> ReadSome(int fd, char* buffer, size_t cap);
 
-/// One ::send attempt (MSG_NOSIGNAL, retries EINTR). Failpoints:
-/// `net.write` injects a failure, `net.write.short` caps the write at
-/// 1 byte (short-count path).
+/// One ::send attempt (MSG_NOSIGNAL, retries EINTR), falling back to
+/// ::write on ENOTSOCK (pipes and files: stdout). A caller writing to a
+/// non-socket must ignore SIGPIPE. Failpoints: `net.write` injects a
+/// failure, `net.write.short` caps the write at 1 byte (short-count path).
 ADPA_NODISCARD Result<IoResult> WriteSome(int fd, const char* data,
                                           size_t size);
 

@@ -1,47 +1,15 @@
 #include "src/serve/batcher.h"
 
+#include <string>
 #include <utility>
-
-#include "src/serve/hot_swap.h"
 
 namespace adpa::serve {
 
-struct MicroBatcher::Ticket::State {
-  Mutex mu;
-  CondVar cv;
-  bool done ADPA_GUARDED_BY(mu) = false;
-  std::optional<Result<std::vector<int64_t>>> result ADPA_GUARDED_BY(mu);
-};
+MicroBatcher::MicroBatcher(ServeMetrics* metrics, Options options)
+    : metrics_(metrics), options_(options) {}
 
-Result<std::vector<int64_t>> MicroBatcher::Ticket::Wait() {
-  MutexLock lock(&state_->mu);
-  // analyze:allow(unchecked-status): CondVar::Wait is void, name-collides with Ticket::Wait
-  while (!state_->done) state_->cv.Wait(&state_->mu);
-  return *state_->result;
-}
-
-MicroBatcher::MicroBatcher(const InferenceSession* session,
-                           ServeMetrics* metrics)
-    : MicroBatcher(session, metrics, Options{}) {}
-
-MicroBatcher::MicroBatcher(const InferenceSession* session,
-                           ServeMetrics* metrics, Options options)
-    : session_(session),
-      registry_(nullptr),
-      metrics_(metrics),
-      options_(options) {}
-
-MicroBatcher::MicroBatcher(const SessionRegistry& registry,
-                           ServeMetrics* metrics, Options options)
-    : session_(nullptr),
-      registry_(&registry),
-      metrics_(metrics),
-      options_(options) {}
-
-MicroBatcher::Ticket MicroBatcher::Submit(std::vector<int64_t> nodes,
-                                          int64_t deadline_ms) {
-  Ticket ticket;
-  ticket.state_ = std::make_shared<Ticket::State>();
+void MicroBatcher::Submit(std::vector<int64_t> nodes, int64_t deadline_ms,
+                          Slot* slot) {
   Request request;
   request.nodes = std::move(nodes);
   request.deadline_ms = deadline_ms;
@@ -49,163 +17,99 @@ MicroBatcher::Ticket MicroBatcher::Submit(std::vector<int64_t> nodes,
   // results.
   // lint:allow(deterministic-randomness)
   request.enqueue_time = std::chrono::steady_clock::now();
-  request.state = ticket.state_;
-  enum class Reject { kNone, kShutdown, kQueueFull };
-  Reject reject = Reject::kNone;
-  {
-    MutexLock lock(&mu_);
-    if (shutdown_) {
-      reject = Reject::kShutdown;
-    } else if (static_cast<int64_t>(queue_.size()) >=
-               options_.max_queue_depth) {
-      reject = Reject::kQueueFull;
-    } else {
-      queue_.push_back(std::move(request));
-      if (metrics_ != nullptr) {
-        metrics_->RecordQueueDepth(static_cast<int64_t>(queue_.size()));
-      }
-    }
+  request.slot = slot;
+  if (static_cast<int64_t>(queue_.size()) >= options_.max_queue_depth) {
+    if (metrics_ != nullptr) metrics_->RecordRejected();
+    Deliver(&request,
+            Status::Unavailable("queue full (" +
+                                std::to_string(options_.max_queue_depth) +
+                                " requests pending); retry with backoff"));
+    return;
   }
-  switch (reject) {
-    case Reject::kNone:
-      cv_.NotifyOne();
-      break;
-    case Reject::kShutdown:
-      Deliver(&request, Status::FailedPrecondition("batcher is shut down"));
-      break;
-    case Reject::kQueueFull:
-      if (metrics_ != nullptr) metrics_->RecordRejected();
-      Deliver(&request,
-              Status::Unavailable(
-                  "queue full (" +
-                  std::to_string(options_.max_queue_depth) +
-                  " requests pending); retry with backoff"));
-      break;
+  queue_.push_back(std::move(request));
+  if (metrics_ != nullptr) {
+    metrics_->RecordQueueDepth(static_cast<int64_t>(queue_.size()));
   }
-  return ticket;
 }
 
-bool MicroBatcher::PumpOnce() {
-  std::vector<Request> batch;
-  std::vector<Request> shed;
-  {
-    MutexLock lock(&mu_);
-    // analyze:allow(unchecked-status): CondVar::Wait is void, name-collides with Ticket::Wait
-    while (!shutdown_ && queue_.empty()) cv_.Wait(&mu_);
-    if (queue_.empty()) return false;  // shut down and fully drained
+void MicroBatcher::Flush(const InferenceSession* session) {
+  while (!queue_.empty()) {
     // lint:allow(deterministic-randomness) — deadline check, not results
     const auto now = std::chrono::steady_clock::now();
     int64_t total_nodes = 0;
     while (!queue_.empty()) {
       Request& front = queue_.front();
-      if (front.deadline_ms > 0) {
-        const double waited_ms =
-            std::chrono::duration<double, std::milli>(now -
-                                                      front.enqueue_time)
-                .count();
-        if (waited_ms > static_cast<double>(front.deadline_ms)) {
-          // Past its deadline: serving it now would hand the client an
-          // answer it already gave up on — shed instead of serve stale.
-          shed.push_back(std::move(front));  // analyze:allow(alloc): shed list is bounded by queue depth
-          queue_.pop_front();
-          continue;
-        }
+      if (front.deadline_ms > 0 &&
+          std::chrono::duration<double, std::milli>(now - front.enqueue_time)
+                  .count() > static_cast<double>(front.deadline_ms)) {
+        // Past its deadline: serving it now would hand the client an
+        // answer it already gave up on — shed instead of serve stale.
+        if (metrics_ != nullptr) metrics_->RecordShed();
+        Deliver(&front,
+                Status::Unavailable("deadline exceeded after " +
+                                    std::to_string(front.deadline_ms) +  // analyze:allow(alloc): error path only
+                                    " ms in queue; retry with backoff"));
+        queue_.pop_front();
+        continue;
       }
       const int64_t request_nodes = static_cast<int64_t>(front.nodes.size());
-      if (!batch.empty() &&
+      if (!batch_.empty() &&
           total_nodes + request_nodes > options_.max_batch_nodes) {
         break;
       }
       total_nodes += request_nodes;
-      batch.push_back(std::move(front));  // analyze:allow(alloc): batch assembly, bounded by max_batch_nodes
+      batch_.push_back(std::move(front));  // analyze:allow(alloc): capacity reused across flushes
       queue_.pop_front();
     }
-  }
 
-  for (Request& request : shed) {
-    if (metrics_ != nullptr) metrics_->RecordShed();
-    Deliver(&request,
-            Status::Unavailable("deadline exceeded after " +
-                                std::to_string(request.deadline_ms) +  // analyze:allow(alloc): error path only
-                                " ms in queue; retry with backoff"));
-  }
-  if (batch.empty()) return true;  // everything pending was shed
-
-  // Resolve and pin the serving session for this whole batch: with a
-  // registry, a hot checkpoint swap landing mid-forward cannot release the
-  // model under us — the shared_ptr keeps the old session alive until every
-  // reply of this batch is delivered.
-  std::shared_ptr<const InferenceSession> pinned;
-  const InferenceSession* session = session_;
-  if (registry_ != nullptr) {
-    pinned = registry_->Current();
-    session = pinned.get();
-  }
-  if (session == nullptr) {
-    for (Request& request : batch) {
-      Deliver(&request, Status::FailedPrecondition(
-                            "no model is loaded yet; reload a checkpoint"));
+    if (session == nullptr) {
+      for (Request& request : batch_) {
+        Deliver(&request, Status::FailedPrecondition(
+                              "no model is loaded yet; reload a checkpoint"));
+      }
+    } else if (!batch_.empty()) {
+      merged_.clear();
+      for (const Request& request : batch_) {
+        merged_.insert(merged_.end(), request.nodes.begin(), request.nodes.end());  // analyze:allow(alloc): capacity reused across flushes
+      }
+      if (metrics_ != nullptr) {
+        metrics_->RecordBatch(static_cast<int64_t>(batch_.size()));
+      }
+      Result<std::vector<int64_t>> all = session->Classify(merged_);
+      size_t offset = 0;
+      for (Request& request : batch_) {
+        if (all.ok()) {
+          std::vector<int64_t> slice(
+              all->begin() + static_cast<int64_t>(offset),
+              all->begin() +
+                  static_cast<int64_t>(offset + request.nodes.size()));
+          offset += request.nodes.size();
+          Deliver(&request, std::move(slice));
+        } else {
+          // One malformed request must not poison its batch mates: fall
+          // back to answering each request on its own so errors stay
+          // per-request.
+          Deliver(&request, session->Classify(request.nodes));
+        }
+      }
     }
-    return true;
+    batch_.clear();
   }
-
-  std::vector<int64_t> merged;
-  for (const Request& request : batch) {
-    merged.insert(merged.end(), request.nodes.begin(), request.nodes.end());  // analyze:allow(alloc): coalesced id list, bounded by max_batch_nodes
-  }
-  if (metrics_ != nullptr) {
-    metrics_->RecordBatch(static_cast<int64_t>(batch.size()));
-  }
-  Result<std::vector<int64_t>> all = session->Classify(merged);
-  size_t offset = 0;
-  for (Request& request : batch) {
-    if (all.ok()) {
-      std::vector<int64_t> slice(
-          all->begin() + static_cast<int64_t>(offset),
-          all->begin() + static_cast<int64_t>(offset + request.nodes.size()));
-      offset += request.nodes.size();
-      Deliver(&request, std::move(slice));
-    } else {
-      // One malformed request must not poison its batch mates: fall back
-      // to answering each request on its own so errors stay per-request.
-      Deliver(&request, session->Classify(request.nodes));
-    }
-  }
-  return true;
-}
-
-void MicroBatcher::Shutdown() {
-  {
-    MutexLock lock(&mu_);
-    shutdown_ = true;
-  }
-  cv_.NotifyAll();
-}
-
-int64_t MicroBatcher::queue_depth() const {
-  MutexLock lock(&mu_);
-  return static_cast<int64_t>(queue_.size());
 }
 
 void MicroBatcher::Deliver(Request* request,
                            Result<std::vector<int64_t>> result) {
-  // lint:allow(deterministic-randomness) — latency metric, not results
-  const auto now = std::chrono::steady_clock::now();
-  const double latency_ms =
-      std::chrono::duration<double, std::milli>(now - request->enqueue_time)
-          .count();
-  const bool ok = result.ok();
-  const int64_t nodes_answered =
-      ok ? static_cast<int64_t>(result->size()) : 0;
-  {
-    MutexLock lock(&request->state->mu);
-    request->state->result = std::move(result);
-    request->state->done = true;
-  }
-  request->state->cv.NotifyAll();
   if (metrics_ != nullptr) {
-    metrics_->RecordRequest(latency_ms, nodes_answered, ok);
+    // lint:allow(deterministic-randomness) — latency metric, not results
+    const auto now = std::chrono::steady_clock::now();
+    const double latency_ms =
+        std::chrono::duration<double, std::milli>(now - request->enqueue_time)
+            .count();
+    const bool ok = result.ok();
+    metrics_->RecordRequest(latency_ms,
+                            ok ? static_cast<int64_t>(result->size()) : 0, ok);
   }
+  *request->slot = std::move(result);
 }
 
 }  // namespace adpa::serve

@@ -2,11 +2,9 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "src/core/mutex.h"
 #include "src/core/status.h"
 #include "src/core/thread_annotations.h"
 #include "src/serve/engine.h"
@@ -14,17 +12,15 @@
 
 namespace adpa::serve {
 
-class SessionRegistry;
-
-/// Micro-batching request queue in front of an InferenceSession.
+/// Single-threaded coalescing request queue in front of an InferenceSession.
 ///
-/// Concurrent clients call `Submit` (thread-safe, returns a Ticket) and
-/// block on `Ticket::Wait`. A single pump thread — the caller who loops on
-/// `PumpOnce` — coalesces everything pending into one `Classify` call, so
-/// concurrent point queries share a single forward pass whose kernels
-/// fan out across the ParallelFor worker pool. The batcher itself spawns no
-/// threads (src/ bans raw std::thread); whoever owns the serving loop
-/// provides the pump.
+/// The serving loop (src/net/server.cc) submits every request it parsed in
+/// one turn, then calls `Flush`, which answers the whole queue in as few
+/// `Classify` calls as `max_batch_nodes` allows, so point queries that
+/// arrive together share one forward whose kernels fan out across the
+/// ParallelFor worker pool. One thread owns the batcher: there is no lock,
+/// no wakeup, and no per-request handle — each answer lands in a
+/// caller-owned slot.
 ///
 /// Batching never changes answers: ForwardRows is row-wise, so a node's
 /// logits are bitwise identical no matter which batch it lands in.
@@ -41,75 +37,45 @@ class MicroBatcher {
     int64_t max_queue_depth = 4096;
   };
 
-  /// A client-side handle for one submitted request.
-  class Ticket {
-   public:
-    /// Blocks until the pump answers; returns the predicted class per
-    /// queried node, or the per-request error.
-    Result<std::vector<int64_t>> Wait();
+  /// Where one request's answer lands: the predicted class per queried
+  /// node, or the per-request error. Empty while the request is queued.
+  using Slot = std::optional<Result<std::vector<int64_t>>>;
 
-   private:
-    friend class MicroBatcher;
-    struct State;
-    std::shared_ptr<State> state_;
-  };
+  /// `metrics` may be null; otherwise it must outlive the batcher.
+  MicroBatcher(ServeMetrics* metrics, Options options);
 
-  /// `session` and `metrics` must outlive the batcher; `metrics` may be
-  /// null.
-  MicroBatcher(const InferenceSession* session, ServeMetrics* metrics);
-  MicroBatcher(const InferenceSession* session, ServeMetrics* metrics,
-               Options options);
+  /// Queues a request whose answer lands in `*slot`, which must stay valid
+  /// until the next Flush. Against a full queue the slot is filled at once
+  /// with kUnavailable. `deadline_ms` > 0 bounds the queue wait: a request
+  /// still queued after that long is shed with kUnavailable instead of
+  /// being served stale (0 = no deadline).
+  void Submit(std::vector<int64_t> nodes, int64_t deadline_ms, Slot* slot);
 
-  /// Hot-swap form: each pump resolves the serving session through
-  /// `registry` at batch-formation time and pins it (shared_ptr) for the
-  /// whole batch — an in-flight batch finishes on the session it started
-  /// with even if a reload flips the registry mid-forward. `registry` must
-  /// outlive the batcher.
-  MicroBatcher(const SessionRegistry& registry, ServeMetrics* metrics,
-               Options options);
+  /// Answers every queued request through `session`, in forwards of at
+  /// most `max_batch_nodes` nodes, and leaves the queue empty. A null
+  /// session (nothing loaded yet) answers FailedPrecondition. A batch that
+  /// fails is re-run one request at a time, so errors stay per request.
+  ADPA_HOT void Flush(const InferenceSession* session);
 
-  /// Enqueues a request. Thread-safe. After Shutdown, tickets resolve to
-  /// FailedPrecondition instead of being silently dropped; against a full
-  /// queue they resolve to kUnavailable. `deadline_ms` > 0 bounds the queue
-  /// wait: a request still unpumped after that long is shed with a
-  /// kUnavailable error instead of being served stale (0 = no deadline).
-  Ticket Submit(std::vector<int64_t> nodes, int64_t deadline_ms = 0)
-      ADPA_EXCLUDES(mu_);
-
-  /// Blocks until at least one request is pending (or shutdown), coalesces
-  /// the queue into one forward, and delivers every reply. Returns false
-  /// once shut down with an empty queue — the pump loop's exit condition.
-  ADPA_HOT bool PumpOnce() ADPA_EXCLUDES(mu_);
-
-  /// Wakes the pump and fails all future Submits. Idempotent.
-  void Shutdown() ADPA_EXCLUDES(mu_);
-
-  /// Requests currently waiting (diagnostics; racy by nature).
-  int64_t queue_depth() const ADPA_EXCLUDES(mu_);
+  int64_t queue_depth() const { return static_cast<int64_t>(queue_.size()); }
 
  private:
   struct Request {
     std::vector<int64_t> nodes;
     int64_t deadline_ms = 0;  ///< 0 = no deadline
     std::chrono::steady_clock::time_point enqueue_time;
-    std::shared_ptr<Ticket::State> state;
+    Slot* slot = nullptr;
   };
 
-  void Deliver(Request* request, Result<std::vector<int64_t>> result)
-      ADPA_EXCLUDES(mu_);
+  void Deliver(Request* request, Result<std::vector<int64_t>> result);
 
-  /// Session/registry/metrics/options are set at construction and never
-  /// reassigned; const-ness is what makes their lock-free reads provably
-  /// safe. Exactly one of session_/registry_ is non-null.
-  const InferenceSession* const session_;
-  const SessionRegistry* const registry_;
   ServeMetrics* const metrics_;
   const Options options_;
-
-  mutable Mutex mu_;
-  CondVar cv_;
-  std::deque<Request> queue_ ADPA_GUARDED_BY(mu_);
-  bool shutdown_ ADPA_GUARDED_BY(mu_) = false;
+  std::deque<Request> queue_;
+  /// Flush scratch, reused so steady-state batch assembly does not
+  /// allocate.
+  std::vector<Request> batch_;
+  std::vector<int64_t> merged_;
 };
 
 }  // namespace adpa::serve

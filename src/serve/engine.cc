@@ -56,8 +56,8 @@ Matrix* LinearForward(const Matrix& x, const Matrix& weight,
   return out;
 }
 
-/// Per-thread forward scratch. The micro-batcher pumps batches on the
-/// submitting thread, so each serving thread owns one workspace plus the
+/// Per-thread forward scratch. The micro-batcher flushes batches on the
+/// serving loop's thread, so each serving thread owns one workspace plus the
 /// reusable view vectors, and steady-state forwards never allocate.
 struct ForwardScratch {
   Workspace ws;

@@ -13,8 +13,8 @@ namespace adpa::serve {
 /// Atomic hot checkpoint swap for live serving (DESIGN.md §14).
 ///
 /// The registry owns the currently serving InferenceSession behind a
-/// shared_ptr. Readers (the batcher pump) take a reference with Current()
-/// and keep the session alive for the whole batch they are executing;
+/// shared_ptr. Readers (the serving loop, around each batcher flush) take a
+/// reference with Current() and keep the session alive for the whole flush;
 /// Reload() builds a replacement session off to the side — checkpoint read,
 /// CRC check, dataset-hash validation, Eq. 9 propagation replay or cache
 /// load — and only when the new session is fully constructed flips the

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/mutex.h"
-#include "src/serve/batcher.h"
 #include "src/serve/metrics.h"
 
 namespace adpa {
@@ -119,62 +118,6 @@ TEST(ServeMetricsConcurrencyTest, CountersStayExactUnderContention) {
   EXPECT_EQ(snap.max_queue_depth, int64_t{kThreads} * kPerThread - 1);
   EXPECT_EQ(snap.mean_batch_requests, 2.0);
   EXPECT_GT(snap.mean_latency_ms, 0.0);
-}
-
-// Overload-path concurrency: with a zero-depth queue every Submit resolves
-// immediately with kUnavailable, so the batcher's mutex, cond var, and the
-// shared metrics run hot under contention without needing a model session.
-TEST(MicroBatcherConcurrencyTest, RejectionPathIsThreadSafe) {
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 500;
-  serve::ServeMetrics metrics;
-  serve::MicroBatcher::Options options;
-  options.max_queue_depth = 0;
-  serve::MicroBatcher batcher(/*session=*/nullptr, &metrics, options);
-
-  std::atomic<bool> stop{false};
-  std::thread depth_poller([&] {
-    while (!stop.load()) EXPECT_EQ(batcher.queue_depth(), 0);
-  });
-  std::vector<std::thread> clients;
-  for (int t = 0; t < kThreads; ++t) {
-    clients.emplace_back([&batcher] {
-      for (int i = 0; i < kPerThread; ++i) {
-        serve::MicroBatcher::Ticket ticket = batcher.Submit({1, 2, 3});
-        auto result = ticket.Wait();
-        ASSERT_FALSE(result.ok());
-        EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-      }
-    });
-  }
-  for (auto& c : clients) c.join();
-  stop = true;
-  depth_poller.join();
-
-  const serve::MetricsSnapshot snap = metrics.Snapshot();
-  const uint64_t total = uint64_t{kThreads} * kPerThread;
-  EXPECT_EQ(snap.rejected, total);
-  EXPECT_EQ(snap.requests, total);
-  EXPECT_EQ(snap.errors, total);
-}
-
-// After Shutdown, concurrent Submits must resolve (FailedPrecondition), not
-// deadlock — the shutdown flag and the queue share one mutex.
-TEST(MicroBatcherConcurrencyTest, SubmitAfterShutdownResolves) {
-  serve::ServeMetrics metrics;
-  serve::MicroBatcher batcher(/*session=*/nullptr, &metrics);
-  batcher.Shutdown();
-  std::vector<std::thread> clients;
-  for (int t = 0; t < 4; ++t) {
-    clients.emplace_back([&batcher] {
-      for (int i = 0; i < 100; ++i) {
-        auto result = batcher.Submit({7}).Wait();
-        ASSERT_FALSE(result.ok());
-        EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-      }
-    });
-  }
-  for (auto& c : clients) c.join();
 }
 
 }  // namespace

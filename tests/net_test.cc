@@ -2,11 +2,13 @@
 // pure function of the byte stream (chunk boundaries never matter), the
 // epoll server must answer JSONL requests in order per connection across
 // pipelining, interleaved clients, EOF edge cases, and injected socket
-// faults, and the hot checkpoint swap must be atomic — replies are bitwise
-// identical to the old session right up to the swap and to the new session
-// right after, with failed reloads leaving the live session serving.
+// faults, over TCP and over stdin/stdout as pipes or regular files; and
+// the hot checkpoint swap must be atomic — replies are bitwise identical
+// to the old session right up to the swap and to the new session right
+// after, with failed reloads leaving the live session serving.
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -310,14 +312,15 @@ TEST(SessionRegistryTest, EmptyUntilFirstLoadAndQueriesGetStructuredError) {
   EXPECT_EQ(registry.current_path(), "");
   EXPECT_FALSE(registry.ReloadCurrent().ok());  // nothing to re-read yet
 
-  // A batcher pumping against an empty registry rejects, not crashes.
-  serve::MicroBatcher batcher(registry, nullptr,
-                              serve::MicroBatcher::Options{});
-  serve::MicroBatcher::Ticket ticket = batcher.Submit({0, 1});
-  ASSERT_TRUE(batcher.PumpOnce());
-  const Result<std::vector<int64_t>> reply = ticket.Wait();
-  ASSERT_FALSE(reply.ok());
-  EXPECT_EQ(reply.status().code(), StatusCode::kFailedPrecondition);
+  // A flush against an empty registry's (null) session rejects, not
+  // crashes.
+  serve::MicroBatcher batcher(nullptr, {});
+  serve::MicroBatcher::Slot reply;
+  batcher.Submit({0, 1}, /*deadline_ms=*/0, &reply);
+  batcher.Flush(registry.Current().get());
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_FALSE(reply->ok());
+  EXPECT_EQ(reply->status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(SessionRegistryTest, ReloadSwapsSessionAndBumpsGeneration) {
@@ -556,7 +559,7 @@ TEST(NetServerTest, ParseErrorsAndBlankLinesMatchStdinMode) {
   const std::string error = client.RecvLine();
   EXPECT_EQ(error.rfind("{\"id\":-1,\"error\":\"malformed request:", 0), 0u)
       << error;
-  // Blank lines produce no replies at all (same as the stdin server).
+  // Blank lines produce no replies at all.
   EXPECT_EQ(client.RecvLine(), fixture.ExpectedReply(fixture.path_a, 4, {0}));
 }
 
@@ -801,6 +804,217 @@ TEST(NetServerTest, RequestReloadReReadsCurrentPath) {
 }
 
 // ---------------------------------------------------------------------------
+// stdin/stdout as one more connection (Server::CreateStdio)
+
+/// How the stdio tests feed the server: a pipe pair, or regular temp files,
+/// which epoll refuses with EPERM, so the loop reads them without sleeping.
+enum class StdioKind { kPipe, kFile };
+
+struct StdioRun {
+  std::string output;      ///< everything the server wrote
+  size_t input_left = 0;   ///< input bytes the server never read
+  net::ServerStats stats;
+};
+
+void WriteAll(int fd, const std::string& bytes) {
+  size_t offset = 0;
+  while (offset < bytes.size()) {
+    const ssize_t wrote =
+        ::write(fd, bytes.data() + offset, bytes.size() - offset);
+    ASSERT_GT(wrote, 0) << std::strerror(errno);
+    offset += static_cast<size_t>(wrote);
+  }
+}
+
+std::string ReadToEof(int fd) {
+  std::string bytes;
+  char chunk[4096];
+  ssize_t got;
+  while ((got = ::read(fd, chunk, sizeof(chunk))) > 0) {
+    bytes.append(chunk, static_cast<size_t>(got));
+  }
+  return bytes;
+}
+
+/// Serves `input` through a stdio server on the calling thread until
+/// Serve() returns. Pipe inputs and outputs must fit the 64 KiB pipe
+/// buffer, since nothing drains them while the server runs.
+StdioRun ServeStdio(StdioKind kind, serve::SessionRegistry* registry,
+                    const std::string& input,
+                    net::ServerOptions options = {}) {
+  int in_fd = -1, out_fd = -1, out_reader = -1;
+  if (kind == StdioKind::kPipe) {
+    int in[2], out[2];
+    EXPECT_EQ(::pipe(in), 0);
+    EXPECT_EQ(::pipe(out), 0);
+    WriteAll(in[1], input);
+    ::close(in[1]);
+    in_fd = in[0];
+    out_fd = out[1];
+    out_reader = out[0];
+  } else {
+    const std::string in_path = UniquePath("stdin");
+    const std::string out_path = UniquePath("stdout");
+    std::ofstream(in_path, std::ios::binary) << input;
+    in_fd = ::open(in_path.c_str(), O_RDONLY | O_CLOEXEC);
+    out_fd = ::open(out_path.c_str(),
+                    O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
+    out_reader = ::open(out_path.c_str(), O_RDONLY | O_CLOEXEC);
+  }
+  StdioRun run;
+  {
+    std::unique_ptr<net::Server> server =
+        std::move(net::Server::CreateStdio(options, registry, nullptr, in_fd,
+                                           out_fd))
+            .value();
+    const Status status = server->Serve();
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    run.stats = server->stats();
+  }
+  EXPECT_GE(::fcntl(in_fd, F_GETFD), 0) << "stdio descriptors stay open";
+  EXPECT_GE(::fcntl(out_fd, F_GETFD), 0) << "stdio descriptors stay open";
+  ::close(out_fd);
+  run.output = ReadToEof(out_reader);
+  run.input_left = ReadToEof(in_fd).size();
+  ::close(in_fd);
+  ::close(out_reader);
+  return run;
+}
+
+class StdioServerTest : public testing::TestWithParam<StdioKind> {
+ protected:
+  StdioServerTest() { EXPECT_TRUE(registry_.Reload(fixture_.path_a).ok()); }
+
+  SwapFixture fixture_;
+  serve::SessionRegistry registry_{&fixture_.dataset, serve::EngineOptions{}};
+};
+
+TEST_P(StdioServerTest, AnswersInOrderAndReturnsAtEof) {
+  const StdioRun run = ServeStdio(
+      GetParam(), &registry_,
+      Query(1, "0, 5, 9") + "not json\n\n" + Query(2, "1") + Query(3, "2, 3"));
+  const std::string parse_error = serve::FormatErrorReply(
+      -1, serve::ParseRequestLine("not json").status().message());
+  EXPECT_EQ(run.output,
+            fixture_.ExpectedReply(fixture_.path_a, 1, {0, 5, 9}) + "\n" +
+                parse_error + "\n" +
+                fixture_.ExpectedReply(fixture_.path_a, 2, {1}) + "\n" +
+                fixture_.ExpectedReply(fixture_.path_a, 3, {2, 3}) + "\n");
+  EXPECT_EQ(run.input_left, 0u);
+  EXPECT_EQ(run.stats.closed_by_peer, 1u);
+  EXPECT_EQ(run.stats.accepted, 0u);
+}
+
+TEST_P(StdioServerTest, FinalLineWithoutNewlineIsServed) {
+  std::string query = Query(8, "7");
+  query.pop_back();  // strip the newline
+  const StdioRun run = ServeStdio(GetParam(), &registry_, query);
+  EXPECT_EQ(run.output,
+            fixture_.ExpectedReply(fixture_.path_a, 8, {7}) + "\n");
+}
+
+TEST_P(StdioServerTest, OversizedLineGetsFramingErrorAndEndsTheSession) {
+  net::ServerOptions options;
+  options.max_line_bytes = 64;
+  // Far more than one read chunk: the server must stop reading at the
+  // first oversized chunk instead of buffering the stream.
+  const std::string input =
+      Query(1, "0") + std::string(40000, 'x') + "\n" + Query(2, "1");
+  const StdioRun run = ServeStdio(GetParam(), &registry_, input, options);
+  EXPECT_EQ(run.output,
+            fixture_.ExpectedReply(fixture_.path_a, 1, {0}) + "\n" +
+                serve::FormatErrorReply(
+                    -1, "request line exceeds 64 bytes; closing connection") +
+                "\n");
+  EXPECT_GT(run.input_left, 0u) << "the rest of the stream must stay unread";
+  EXPECT_EQ(run.stats.dropped, 1u);
+}
+
+TEST_P(StdioServerTest, ReloadIsAcknowledgedBetweenQueries) {
+  const std::vector<int64_t> nodes{0, 3, 7, 11, 19, 23, 31, 42, 55, 59};
+  const std::string list = "0, 3, 7, 11, 19, 23, 31, 42, 55, 59";
+  const StdioRun run = ServeStdio(
+      GetParam(), &registry_,
+      Query(1, list) + "{\"id\": 9, \"reload\": \"" + fixture_.path_b +
+          "\"}\n" + Query(2, list));
+  EXPECT_EQ(run.output,
+            fixture_.ExpectedReply(fixture_.path_a, 1, nodes) + "\n" +
+                serve::FormatReloadReply(9, fixture_.path_b, 2) + "\n" +
+                fixture_.ExpectedReply(fixture_.path_b, 2, nodes) + "\n");
+  EXPECT_EQ(registry_.generation(), 2);
+  EXPECT_EQ(run.stats.reloads, 1u);
+}
+
+TEST_P(StdioServerTest, ReloadCanBeDisabled) {
+  net::ServerOptions options;
+  options.allow_reload = false;
+  const StdioRun run = ServeStdio(
+      GetParam(), &registry_,
+      "{\"id\": 9, \"reload\": \"" + fixture_.path_b + "\"}\n", options);
+  EXPECT_EQ(run.output,
+            serve::FormatErrorReply(9, "reload is disabled on this server") +
+                "\n");
+  EXPECT_EQ(registry_.generation(), 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, StdioServerTest,
+    testing::Values(StdioKind::kPipe, StdioKind::kFile),
+    [](const testing::TestParamInfo<StdioKind>& info) {
+      return info.param == StdioKind::kPipe ? "Pipe" : "File";
+    });
+
+/// Next '\n'-terminated line from a blocking pipe, or "" after 10 s.
+std::string ReadLineFromPipe(int fd) {
+  std::string line;
+  char c;
+  while (true) {
+    pollfd ready{fd, POLLIN, 0};
+    if (::poll(&ready, 1, 10000) != 1 || ::read(fd, &c, 1) != 1) return "";
+    if (c == '\n') return line;
+    line.push_back(c);
+  }
+}
+
+TEST(StdioServerSignalTest, ReloadAndStopWakeTheLoopWhileStdinStaysOpen) {
+  // The SIGHUP and SIGTERM paths over stdin: the input pipe never reaches
+  // EOF, so only the wake pipe can end Serve().
+  SwapFixture fixture;
+  serve::SessionRegistry registry(&fixture.dataset, serve::EngineOptions{});
+  ASSERT_TRUE(registry.Reload(fixture.path_a).ok());
+  int in[2], out[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  std::unique_ptr<net::Server> server =
+      std::move(net::Server::CreateStdio({}, &registry, nullptr, in[0],
+                                         out[1]))
+          .value();
+  Status serve_status;
+  std::thread loop([&] { serve_status = server->Serve(); });
+
+  // Replace the file behind the current path, then "SIGHUP".
+  {
+    std::ifstream from(fixture.path_b, std::ios::binary);
+    std::ofstream to(fixture.path_a, std::ios::binary | std::ios::trunc);
+    to << from.rdbuf();
+  }
+  server->RequestReload();
+  for (int i = 0; i < 500 && registry.generation() < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(registry.generation(), 2);
+  WriteAll(in[1], Query(1, "0, 3, 7"));
+  EXPECT_EQ(ReadLineFromPipe(out[0]),
+            fixture.ExpectedReply(fixture.path_b, 1, {0, 3, 7}));
+
+  server->RequestStop();  // "SIGTERM"
+  loop.join();
+  EXPECT_TRUE(serve_status.ok()) << serve_status.ToString();
+  EXPECT_EQ(server->stats().reloads, 1u);
+  for (const int fd : {in[0], in[1], out[0], out[1]}) ::close(fd);
+}
+
+// ---------------------------------------------------------------------------
 // Reply-line grammar (the soak harness's parse invariant)
 
 TEST(ParseReplyLineTest, RoundTripsEveryFormatterShape) {
@@ -891,6 +1105,7 @@ TEST(ConnectionHygieneTest, IdleConnectionIsClosedCleanly) {
   // Then the client goes quiet and the server reclaims the slot with a
   // clean FIN (EOF from the client's side, not a reset).
   EXPECT_TRUE(client.AtEof());
+  harness.Stop();  // stats are the loop thread's until Serve() returns
   EXPECT_GE(harness.server().stats().idle_closed, 1u);
 }
 
@@ -903,6 +1118,7 @@ TEST(ConnectionHygieneTest, StallTimeoutDropsAnUnfinishedLine) {
 
   client.Send("{\"id\": 1, \"nodes\": [0");  // never finishes the line
   EXPECT_TRUE(client.Dropped());
+  harness.Stop();
   EXPECT_GE(harness.server().stats().stall_dropped, 1u);
 }
 
@@ -926,6 +1142,7 @@ TEST(ConnectionHygieneTest, TricklingBytesDoesNotResetTheStallClock) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   EXPECT_TRUE(dropped || client.Dropped());
+  harness.Stop();
   EXPECT_GE(harness.server().stats().stall_dropped, 1u);
 }
 
@@ -969,8 +1186,6 @@ TEST(ConnectionHygieneTest, RealFdExhaustionShedsAndRecovers) {
   hoard.pop_back();
   TestClient starved(harness.port());
   EXPECT_TRUE(starved.Dropped());
-  EXPECT_GE(harness.server().stats().fd_exhausted, 1u);
-  EXPECT_GE(harness.server().stats().over_capacity, 1u);
 
   // Release the pressure: the very next connection is served normally —
   // the listener, epoll set, and reserve descriptor all survived.
@@ -980,6 +1195,9 @@ TEST(ConnectionHygieneTest, RealFdExhaustionShedsAndRecovers) {
   recovered.Send(Query(2, "1"));
   EXPECT_EQ(recovered.RecvLine(),
             fixture.ExpectedReply(fixture.path_a, 2, {1}));
+  harness.Stop();
+  EXPECT_GE(harness.server().stats().fd_exhausted, 1u);
+  EXPECT_GE(harness.server().stats().over_capacity, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1032,6 +1250,7 @@ TEST(NetServerTest, BackToBackReloadSignalsWithQueriesInFlight) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_EQ(harness.registry().generation(), 3);
+  harness.Stop();
   EXPECT_EQ(harness.server().stats().reloads, 2u);
 }
 
@@ -1062,6 +1281,7 @@ TEST_F(NetFailpointTest, AcceptErrorIsCountedAndSurvived) {
   TestClient client(harness.port());
   client.Send(Query(1, "0"));
   EXPECT_EQ(client.RecvLine(), fixture.ExpectedReply(fixture.path_a, 1, {0}));
+  harness.Stop();
   EXPECT_GE(harness.server().stats().io_errors, 1u);
 }
 
@@ -1125,8 +1345,6 @@ TEST_F(NetFailpointTest, EmfileOnAcceptShedsViaReserveFdAndRecovers) {
 
   TestClient shed(harness.port());
   EXPECT_TRUE(shed.Dropped());
-  EXPECT_GE(harness.server().stats().fd_exhausted, 1u);
-  EXPECT_GE(harness.server().stats().over_capacity, 1u);
 
   // The reserve was reopened, so normal service resumes immediately.
   failpoint::ClearAll();
@@ -1134,6 +1352,9 @@ TEST_F(NetFailpointTest, EmfileOnAcceptShedsViaReserveFdAndRecovers) {
   survivor.Send(Query(2, "1"));
   EXPECT_EQ(survivor.RecvLine(),
             fixture.ExpectedReply(fixture.path_a, 2, {1}));
+  harness.Stop();
+  EXPECT_GE(harness.server().stats().fd_exhausted, 1u);
+  EXPECT_GE(harness.server().stats().over_capacity, 1u);
 }
 
 TEST_F(NetFailpointTest, ReloadLoadFailureKeepsOldSessionServing) {

@@ -1,7 +1,7 @@
 // Serving subsystem tests: the no-tape InferenceSession must be bitwise
 // identical to the training model's eval forward for every DP-attention
 // variant and ablation; batched/subset queries must match full forwards;
-// the micro-batcher must answer concurrent clients correctly; the JSON
+// the micro-batcher must answer coalesced requests correctly; the JSON
 // lines codec must accept exactly the request schema.
 
 #include <chrono>
@@ -183,7 +183,9 @@ TEST(MicroBatcherTest, CoalescesConcurrentClientsWithoutChangingAnswers) {
   SessionFixture fixture(SmallConfig());
   serve::InferenceSession session = fixture.Session();
   serve::ServeMetrics metrics;
-  serve::MicroBatcher batcher(&session, &metrics);
+  serve::MicroBatcher::Options options;
+  options.max_batch_nodes = 6;  // the flush must split into several forwards
+  serve::MicroBatcher batcher(&metrics, options);
 
   // Ground truth, computed without the batcher.
   const std::vector<std::vector<int64_t>> queries = {
@@ -194,32 +196,20 @@ TEST(MicroBatcherTest, CoalescesConcurrentClientsWithoutChangingAnswers) {
     expected.push_back(std::move(session.Classify(nodes)).value());
   }
 
-  std::thread pump([&batcher] {
-    while (batcher.PumpOnce()) {
-    }
-  });
-
-  constexpr int kClients = 4;
-  std::vector<std::vector<int>> mismatches(kClients);
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (size_t q = static_cast<size_t>(c); q < queries.size();
-           q += kClients) {
-        Result<std::vector<int64_t>> got = batcher.Submit(queries[q]).Wait();
-        if (!got.ok() || *got != expected[q]) {
-          mismatches[c].push_back(static_cast<int>(q));
-        }
-      }
-    });
+  // Everything a loop turn read from its clients, answered by one flush.
+  std::vector<serve::MicroBatcher::Slot> slots(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    batcher.Submit(queries[q], /*deadline_ms=*/0, &slots[q]);
+    EXPECT_FALSE(slots[q].has_value()) << "queued requests wait for Flush";
   }
-  for (auto& client : clients) client.join();
-  batcher.Shutdown();
-  pump.join();
+  EXPECT_EQ(batcher.queue_depth(), static_cast<int64_t>(queries.size()));
+  batcher.Flush(&session);
+  EXPECT_EQ(batcher.queue_depth(), 0);
 
-  for (int c = 0; c < kClients; ++c) {
-    EXPECT_TRUE(mismatches[c].empty())
-        << "client " << c << " got wrong answers";
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_TRUE(slots[q].has_value()) << "query " << q;
+    ASSERT_TRUE(slots[q]->ok()) << slots[q]->status().ToString();
+    EXPECT_EQ(**slots[q], expected[q]) << "query " << q;
   }
   const serve::MetricsSnapshot snapshot = metrics.Snapshot();
   EXPECT_EQ(snapshot.requests, queries.size());
@@ -227,34 +217,25 @@ TEST(MicroBatcherTest, CoalescesConcurrentClientsWithoutChangingAnswers) {
   uint64_t total_nodes = 0;
   for (const auto& nodes : queries) total_nodes += nodes.size();
   EXPECT_EQ(snapshot.nodes, total_nodes);
-  EXPECT_GE(snapshot.batches, 1u);
-  EXPECT_LE(snapshot.batches, snapshot.requests);
-  EXPECT_GE(snapshot.max_queue_depth, 1);
+  // 27 nodes under a 6-node cap: at least five forwards, none empty.
+  EXPECT_GE(snapshot.batches, 5u);
+  EXPECT_LT(snapshot.batches, snapshot.requests);
+  EXPECT_EQ(snapshot.max_queue_depth, static_cast<int64_t>(queries.size()));
 }
 
 TEST(MicroBatcherTest, ErrorsStayPerRequest) {
   SessionFixture fixture(SmallConfig());
   serve::InferenceSession session = fixture.Session();
-  serve::MicroBatcher batcher(&session, nullptr);
-  auto good = batcher.Submit({0, 1});
-  auto bad = batcher.Submit({session.num_nodes() + 5});
-  auto also_good = batcher.Submit({2});
-  while (batcher.queue_depth() > 0) batcher.PumpOnce();
-  EXPECT_TRUE(good.Wait().ok());
-  EXPECT_FALSE(bad.Wait().ok());
-  EXPECT_TRUE(also_good.Wait().ok())
+  serve::MicroBatcher batcher(nullptr, {});
+  serve::MicroBatcher::Slot good, bad, also_good;
+  batcher.Submit({0, 1}, 0, &good);
+  batcher.Submit({session.num_nodes() + 5}, 0, &bad);
+  batcher.Submit({2}, 0, &also_good);
+  batcher.Flush(&session);
+  EXPECT_TRUE(good->ok());
+  EXPECT_FALSE(bad->ok());
+  EXPECT_TRUE(also_good->ok())
       << "a bad batch mate must not poison this request";
-}
-
-TEST(MicroBatcherTest, ShutdownFailsLateSubmitsInsteadOfHanging) {
-  SessionFixture fixture(SmallConfig());
-  serve::InferenceSession session = fixture.Session();
-  serve::MicroBatcher batcher(&session, nullptr);
-  batcher.Shutdown();
-  Result<std::vector<int64_t>> late = batcher.Submit({0}).Wait();
-  ASSERT_FALSE(late.ok());
-  EXPECT_EQ(late.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(batcher.PumpOnce());
 }
 
 TEST(MicroBatcherTest, FullQueueRejectsWithRetryableOverloadError) {
@@ -263,20 +244,22 @@ TEST(MicroBatcherTest, FullQueueRejectsWithRetryableOverloadError) {
   serve::ServeMetrics metrics;
   serve::MicroBatcher::Options options;
   options.max_queue_depth = 1;
-  serve::MicroBatcher batcher(&session, &metrics, options);
+  serve::MicroBatcher batcher(&metrics, options);
 
-  auto accepted = batcher.Submit({0});
-  auto rejected = batcher.Submit({1});  // queue already at its ceiling
-  Result<std::vector<int64_t>> overflow = rejected.Wait();
-  ASSERT_FALSE(overflow.ok());
-  EXPECT_EQ(overflow.status().code(), StatusCode::kUnavailable)
+  serve::MicroBatcher::Slot accepted, rejected;
+  batcher.Submit({0}, 0, &accepted);
+  batcher.Submit({1}, 0, &rejected);  // queue already at its ceiling
+  EXPECT_FALSE(accepted.has_value());
+  ASSERT_TRUE(rejected.has_value()) << "a full queue answers at once";
+  ASSERT_FALSE(rejected->ok());
+  EXPECT_EQ(rejected->status().code(), StatusCode::kUnavailable)
       << "queue-full must be the retryable overload code, got "
-      << overflow.status().ToString();
-  EXPECT_NE(overflow.status().message().find("queue full"),
+      << rejected->status().ToString();
+  EXPECT_NE(rejected->status().message().find("queue full"),
             std::string::npos);
 
-  while (batcher.queue_depth() > 0) batcher.PumpOnce();
-  EXPECT_TRUE(accepted.Wait().ok())
+  batcher.Flush(&session);
+  EXPECT_TRUE(accepted->ok())
       << "the request that made it into the queue must still be served";
   const serve::MetricsSnapshot snapshot = metrics.Snapshot();
   EXPECT_EQ(snapshot.rejected, 1u);
@@ -287,35 +270,45 @@ TEST(MicroBatcherTest, ExpiredDeadlineShedsInsteadOfServingStale) {
   SessionFixture fixture(SmallConfig());
   serve::InferenceSession session = fixture.Session();
   serve::ServeMetrics metrics;
-  serve::MicroBatcher batcher(&session, &metrics);
+  serve::MicroBatcher batcher(&metrics, {});
 
-  auto doomed = batcher.Submit({0, 1}, /*deadline_ms=*/1);
-  auto patient = batcher.Submit({2}, /*deadline_ms=*/600000);
-  auto forever = batcher.Submit({3});  // 0 = no deadline
+  serve::MicroBatcher::Slot doomed, patient, forever;
+  batcher.Submit({0, 1}, /*deadline_ms=*/1, &doomed);
+  batcher.Submit({2}, /*deadline_ms=*/600000, &patient);
+  batcher.Submit({3}, /*deadline_ms=*/0, &forever);  // 0 = no deadline
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  while (batcher.queue_depth() > 0) batcher.PumpOnce();
+  batcher.Flush(&session);
 
-  Result<std::vector<int64_t>> shed = doomed.Wait();
-  ASSERT_FALSE(shed.ok());
-  EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable);
-  EXPECT_NE(shed.status().message().find("deadline"), std::string::npos);
-  EXPECT_TRUE(patient.Wait().ok());
-  EXPECT_TRUE(forever.Wait().ok());
+  ASSERT_FALSE(doomed->ok());
+  EXPECT_EQ(doomed->status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(doomed->status().message().find("deadline"), std::string::npos);
+  EXPECT_TRUE(patient->ok());
+  EXPECT_TRUE(forever->ok());
   const serve::MetricsSnapshot snapshot = metrics.Snapshot();
   EXPECT_EQ(snapshot.shed, 1u);
   EXPECT_EQ(snapshot.rejected, 0u);
 }
 
-TEST(MicroBatcherTest, PumpReturnsTrueWhenEverythingPendingWasShed) {
-  // A pump round that sheds its whole queue must report "keep pumping",
-  // not "drained and shut down".
+TEST(MicroBatcherTest, FlushThatShedsEverythingAnswersEverySlot) {
+  // A flush whose whole queue is past its deadline runs no forward, but
+  // still answers every slot and leaves the queue empty.
   SessionFixture fixture(SmallConfig());
   serve::InferenceSession session = fixture.Session();
-  serve::MicroBatcher batcher(&session, nullptr);
-  auto doomed = batcher.Submit({0}, /*deadline_ms=*/1);
+  serve::ServeMetrics metrics;
+  serve::MicroBatcher batcher(&metrics, {});
+  serve::MicroBatcher::Slot first, second;
+  batcher.Submit({0}, /*deadline_ms=*/1, &first);
+  batcher.Submit({1}, /*deadline_ms=*/1, &second);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_TRUE(batcher.PumpOnce());
-  EXPECT_FALSE(doomed.Wait().ok());
+  batcher.Flush(&session);
+  EXPECT_EQ(batcher.queue_depth(), 0);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(first->status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(second->status().code(), StatusCode::kUnavailable);
+  const serve::MetricsSnapshot snapshot = metrics.Snapshot();
+  EXPECT_EQ(snapshot.shed, 2u);
+  EXPECT_EQ(snapshot.batches, 0u);
 }
 
 TEST(ServeMetricsTest, LatencyMemoryIsBoundedButStatsStayRepresentative) {

@@ -3,35 +3,35 @@
 //   adpa_cli train --in=g.txt --save_checkpoint=m.ckpt
 //   adpa_serve --checkpoint=m.ckpt --in=g.txt < queries.jsonl > replies.jsonl
 //
-// Protocol: one request object per stdin line, one reply per stdout line,
-// in request order. Requests are {"id": 7, "nodes": [0, 12, 3]} with an
-// optional "deadline_ms"; replies are {"id":7,"classes":[1,0,2]},
+// Protocol: one request object per line, one reply per line, in request
+// order. Requests are {"id": 7, "nodes": [0, 12, 3]} with an optional
+// "deadline_ms"; replies are {"id":7,"classes":[1,0,2]},
 // {"id":7,"error":"..."}, or — when the request was rejected at a full
 // queue or shed past its deadline — the structured retry shape
-// {"id":7,"error":"overloaded","detail":"..."}. The process exits at EOF
-// and prints a metrics summary (latency percentiles, QPS, batching and
-// shedding counters) to stderr, keeping stdout byte-stable for golden
-// comparisons.
-//
-// Shutdown: SIGTERM/SIGINT switch the server to draining — it stops
-// reading stdin, answers every request already submitted, flushes stdout,
-// and exits 0. SIGPIPE is ignored so a vanished reader surfaces as a
-// write error instead of killing the process.
-//
-// TCP mode (--listen host:port): an epoll event loop (src/net/server.h)
-// serves the same JSONL protocol to many concurrent connections, replies
-// in order per connection, and additionally accepts the admin request
-// {"reload": "/path/to/model.ckpt"} which hot-swaps the serving checkpoint
+// {"id":7,"error":"overloaded","detail":"..."}. The admin request
+// {"reload": "/path/to/model.ckpt"} hot-swaps the serving checkpoint
 // without dropping a request (SIGHUP re-reads the current checkpoint
-// path). Port 0 binds an ephemeral port; the actual address is announced
-// on stderr as "listening on HOST:PORT". SIGTERM/SIGINT drain exactly as
-// in stdin mode: stop accepting, answer everything received, flush, exit 0.
+// path). A request line longer than the framing cap (1 MiB) gets one
+// framing-error reply and ends the session.
+//
+// By default stdin/stdout is the one connection: the process exits once
+// stdin reaches EOF and every reply is written. With --listen=HOST:PORT
+// it serves many concurrent TCP connections instead; port 0 binds an
+// ephemeral port, announced on stderr as "listening on HOST:PORT". Both
+// run the same epoll event loop (src/net/server.h). At exit a metrics
+// summary (latency percentiles, QPS, batching and shedding counters) goes
+// to stderr, keeping stdout byte-stable for golden comparisons.
+//
+// Shutdown: SIGTERM/SIGINT drain — stop accepting and reading, answer
+// every request already received, flush, exit 0. SIGPIPE is ignored so a
+// vanished reader surfaces as a write error instead of killing the process.
 //
 // Flags:
 //   --listen=HOST:PORT    serve over TCP instead of stdin/stdout
-//   --no_reload           refuse {"reload": ...} admin requests (TCP mode)
-//   --idle_timeout_ms=N   close connections idle for N ms (TCP mode;
-//                         0 = never, the default)
+//   --no_reload           refuse {"reload": ...} admin requests and ignore
+//                         SIGHUP
+//   --idle_timeout_ms=N   close connections idle for N ms (0 = never, the
+//                         default)
 //   --stall_timeout_ms=N  drop connections whose request line has been
 //                         incomplete for N ms (slow-loris defense; 0 =
 //                         never, the default)
@@ -39,8 +39,6 @@
 //   --in=F                the dataset the model was trained on (required)
 //   --undirect            mirror the training run's --undirect
 //   --cache=F             sidecar file for the Eq. 9 propagation precompute
-//   --batch_lines=N       stdin lines submitted before pumping (default 1;
-//                         raise to coalesce pipelined queries per forward)
 //   --max_batch_nodes=N   node cap per coalesced forward (default 4096)
 //   --max_queue_depth=N   pending-request ceiling before Submit is rejected
 //                         with "overloaded" (default 4096)
@@ -48,42 +46,35 @@
 //   --simd_level=<portable|avx2|avx512>
 //                         pin the kernel dispatch level (default: fastest
 //                         level the CPU supports)
+// Unknown flags are ignored.
 
-#include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include <unistd.h>
 
 #include "src/core/flags.h"
 #include "src/core/parallel.h"
 #include "src/data/io.h"
-#include "src/io/checkpoint.h"
 #include "src/net/server.h"
 #include "src/net/socket.h"
-#include "src/serve/batcher.h"
-#include "src/serve/engine.h"
 #include "src/serve/hot_swap.h"
-#include "src/serve/jsonl.h"
 #include "src/serve/metrics.h"
 #include "src/tensor/simd.h"
 
 namespace adpa {
 namespace {
 
+/// Signals wake the event loop through its self-pipe once the server
+/// exists; a stop signal that lands earlier (during the dataset load and
+/// Eq. 9 propagation) is only recorded, and main() replays it as soon as
+/// the wake fd is published. The flag store and the single-byte write are
+/// both async-signal-safe.
 volatile std::sig_atomic_t g_shutdown_signal = 0;
-
-extern "C" void HandleShutdownSignal(int signal_number) {
-  g_shutdown_signal = signal_number;
-}
-
-/// TCP mode: signals wake the event loop through its self-pipe. Both the
-/// flag store and the single-byte write are async-signal-safe.
 volatile std::sig_atomic_t g_server_wake_fd = -1;
 
 extern "C" void HandleServerSignal(int signal_number) {
@@ -94,50 +85,6 @@ extern "C" void HandleServerSignal(int signal_number) {
   const ssize_t wrote = ::write(fd, &command, 1);
   (void)wrote;  // a full wake pipe already has a wakeup queued
 }
-
-/// Line reader over fd 0 built on raw ::read. std::getline can't be used
-/// here: libstdc++ retries read() on EINTR inside the stream buffer, so a
-/// SIGTERM delivered while blocked on stdin would never interrupt the wait
-/// and the drain path would only run at the next newline.
-class StdinLineReader {
- public:
-  enum class ReadResult { kLine, kEof, kInterrupted };
-
-  ReadResult Next(std::string* line) {
-    while (true) {
-      const size_t newline = buffer_.find('\n', scan_from_);
-      if (newline != std::string::npos) {
-        line->assign(buffer_, 0, newline);
-        buffer_.erase(0, newline + 1);
-        scan_from_ = 0;
-        return ReadResult::kLine;
-      }
-      scan_from_ = buffer_.size();
-      char chunk[4096];
-      const ssize_t got = ::read(STDIN_FILENO, chunk, sizeof(chunk));
-      if (got > 0) {
-        buffer_.append(chunk, static_cast<size_t>(got));
-        continue;
-      }
-      if (got == 0) {
-        if (buffer_.empty()) return ReadResult::kEof;
-        line->swap(buffer_);  // final unterminated line
-        buffer_.clear();
-        scan_from_ = 0;
-        return ReadResult::kLine;
-      }
-      if (errno == EINTR) {
-        if (g_shutdown_signal != 0) return ReadResult::kInterrupted;
-        continue;
-      }
-      return ReadResult::kEof;  // unreadable stdin ends the serve loop
-    }
-  }
-
- private:
-  std::string buffer_;
-  size_t scan_from_ = 0;
-};
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -166,107 +113,20 @@ void PrintMetricsSummary(const serve::ServeMetrics& metrics,
                static_cast<unsigned long long>(snapshot.shed));
 }
 
-/// --listen mode: epoll event loop over TCP with hot checkpoint swap.
-int ServeTcp(const std::string& listen_spec, const Flags& flags,
-             const Dataset& input, const std::string& checkpoint_path) {
-  Result<net::HostPort> listen = net::ParseHostPort(listen_spec);
-  if (!listen.ok()) return Fail(listen.status());
-
-  serve::EngineOptions engine_options;
-  engine_options.propagation_cache_path = flags.GetString("cache", "");
-  serve::SessionRegistry registry(&input, engine_options);
-  const Result<serve::SessionRegistry::ReloadInfo> initial =
-      registry.Reload(checkpoint_path);
-  if (!initial.ok()) return Fail(initial.status());
-  const std::shared_ptr<const serve::InferenceSession> session =
-      registry.Current();
-  std::fprintf(stderr,
-               "serving %s on %s: %lld nodes, %lld classes, propagation %s\n",
-               initial->model_name.c_str(), input.name.c_str(),
-               static_cast<long long>(session->num_nodes()),
-               static_cast<long long>(session->num_classes()),
-               initial->used_propagation_cache ? "cache hit" : "computed");
-
-  serve::ServeMetrics metrics;
-  net::ServerOptions options;
-  options.host = listen->host;
-  options.port = listen->port;
-  options.batcher.max_batch_nodes = flags.GetInt("max_batch_nodes", 4096);
-  options.batcher.max_queue_depth = flags.GetInt("max_queue_depth", 4096);
-  options.allow_reload = !flags.Has("no_reload");
-  options.idle_timeout_ms = flags.GetInt("idle_timeout_ms", 0);
-  options.stall_timeout_ms = flags.GetInt("stall_timeout_ms", 0);
-  Result<std::unique_ptr<net::Server>> server =
-      net::Server::Create(options, &registry, &metrics);
-  if (!server.ok()) return Fail(server.status());
-  std::fprintf(stderr, "listening on %s:%u\n",
-               options.host.empty() || options.host == "*"
-                   ? "0.0.0.0"
-                   : options.host.c_str(),
-               static_cast<unsigned>((*server)->port()));
-  std::fflush(stderr);  // harnesses grep the announced port immediately
-
-  g_server_wake_fd = (*server)->wake_fd();
-  struct sigaction wake_action {};
-  wake_action.sa_handler = HandleServerSignal;
-  sigemptyset(&wake_action.sa_mask);
-  wake_action.sa_flags = 0;  // no SA_RESTART: epoll_wait must wake
-  sigaction(SIGTERM, &wake_action, nullptr);
-  sigaction(SIGINT, &wake_action, nullptr);
-  sigaction(SIGHUP, &wake_action, nullptr);
-  std::signal(SIGPIPE, SIG_IGN);
-
-  const auto serve_start = std::chrono::steady_clock::now();
-  const Status status = (*server)->Serve();
-  g_server_wake_fd = -1;
-  if (!status.ok()) return Fail(status);
-  if (g_shutdown_signal != 0) {
-    std::fprintf(stderr,
-                 "draining: received signal %d; in-flight requests "
-                 "answered, exiting cleanly\n",
-                 static_cast<int>(g_shutdown_signal));
-  }
-
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    serve_start)
-          .count();
-  const net::ServerStats& stats = (*server)->stats();
-  std::fprintf(stderr,
-               "connections: %llu accepted, %llu closed by peer, %llu "
-               "dropped, %llu io errors, %llu over capacity, %llu idle "
-               "closed, %llu stall dropped, %llu fd exhausted; reloads: "
-               "%llu ok, %llu failed (generation %lld)\n",
-               static_cast<unsigned long long>(stats.accepted),
-               static_cast<unsigned long long>(stats.closed_by_peer),
-               static_cast<unsigned long long>(stats.dropped),
-               static_cast<unsigned long long>(stats.io_errors),
-               static_cast<unsigned long long>(stats.over_capacity),
-               static_cast<unsigned long long>(stats.idle_closed),
-               static_cast<unsigned long long>(stats.stall_dropped),
-               static_cast<unsigned long long>(stats.fd_exhausted),
-               static_cast<unsigned long long>(stats.reloads),
-               static_cast<unsigned long long>(stats.reload_failures),
-               static_cast<long long>(registry.generation()));
-  PrintMetricsSummary(metrics, elapsed_s);
-  return 0;
-}
-
 int Usage() {
   std::fprintf(stderr,
                "usage: adpa_serve --checkpoint=F --in=F [--undirect]\n"
-               "                  [--listen=HOST:PORT --no_reload\n"
+               "                  [--listen=HOST:PORT] [--no_reload\n"
                "                  --idle_timeout_ms=N --stall_timeout_ms=N]\n"
-               "                  [--cache=F --batch_lines=N "
-               "--max_batch_nodes=N\n"
+               "                  [--cache=F --max_batch_nodes=N\n"
                "                  --max_queue_depth=N --threads=N\n"
                "                  --simd_level=<portable|avx2|avx512>]\n"
                "reads JSON-lines requests from stdin, writes replies to "
                "stdout;\n"
                "with --listen, serves the same protocol over TCP (port 0 =\n"
-               "ephemeral; the bound address is printed to stderr) and\n"
-               "accepts {\"reload\": \"path\"} hot-swap requests (SIGHUP\n"
-               "re-reads the current checkpoint);\n"
+               "ephemeral; the bound address is printed to stderr);\n"
+               "{\"reload\": \"path\"} hot-swaps the checkpoint (SIGHUP\n"
+               "re-reads the current one);\n"
                "SIGTERM/SIGINT drain in-flight requests and exit 0\n");
   return 2;
 }
@@ -299,113 +159,76 @@ int Main(int argc, char** argv) {
     simd::SetLevel(level);
   }
 
-  // No SA_RESTART: a signal must interrupt the blocking stdin read so the
-  // drain path runs immediately rather than at the next request line.
-  struct sigaction drain_action {};
-  drain_action.sa_handler = HandleShutdownSignal;
-  sigemptyset(&drain_action.sa_mask);
-  drain_action.sa_flags = 0;
-  sigaction(SIGTERM, &drain_action, nullptr);
-  sigaction(SIGINT, &drain_action, nullptr);
+  net::ServerOptions options;
+  options.batcher.max_batch_nodes = flags.GetInt("max_batch_nodes", 4096);
+  options.batcher.max_queue_depth = flags.GetInt("max_queue_depth", 4096);
+  options.allow_reload = !flags.Has("no_reload");
+  options.idle_timeout_ms = flags.GetInt("idle_timeout_ms", 0);
+  options.stall_timeout_ms = flags.GetInt("stall_timeout_ms", 0);
+  const bool tcp = flags.Has("listen");
+  if (tcp) {
+    Result<net::HostPort> listen =
+        net::ParseHostPort(flags.GetString("listen", ""));
+    if (!listen.ok()) return Fail(listen.status());
+    options.host = listen->host;
+    options.port = listen->port;
+  }
+
+  // Installed before the slow startup so no stop signal is lost. No
+  // SA_RESTART: epoll_wait must wake.
+  struct sigaction wake_action {};
+  wake_action.sa_handler = HandleServerSignal;
+  sigemptyset(&wake_action.sa_mask);
+  wake_action.sa_flags = 0;
+  sigaction(SIGTERM, &wake_action, nullptr);
+  sigaction(SIGINT, &wake_action, nullptr);
+  sigaction(SIGHUP, &wake_action, nullptr);
   std::signal(SIGPIPE, SIG_IGN);
 
   Result<Dataset> dataset = LoadDataset(dataset_path);
   if (!dataset.ok()) return Fail(dataset.status());
-  Dataset input = flags.GetBool("undirect", false)
-                      ? dataset->WithUndirectedGraph()
-                      : std::move(*dataset);
-
-  if (flags.Has("listen")) {
-    return ServeTcp(flags.GetString("listen", ""), flags, input,
-                    checkpoint_path);
-  }
-
-  Result<Checkpoint> checkpoint = TryLoadCheckpoint(checkpoint_path);
-  if (!checkpoint.ok()) return Fail(checkpoint.status());
+  const Dataset input = flags.GetBool("undirect", false)
+                            ? dataset->WithUndirectedGraph()
+                            : std::move(*dataset);
 
   serve::EngineOptions engine_options;
   engine_options.propagation_cache_path = flags.GetString("cache", "");
-  Result<serve::InferenceSession> session =
-      serve::InferenceSession::Create(*checkpoint, input, engine_options);
-  if (!session.ok()) return Fail(session.status());
+  serve::SessionRegistry registry(&input, engine_options);
+  const Result<serve::SessionRegistry::ReloadInfo> initial =
+      registry.Reload(checkpoint_path);
+  if (!initial.ok()) return Fail(initial.status());
+  const std::shared_ptr<const serve::InferenceSession> session =
+      registry.Current();
   std::fprintf(stderr,
                "serving %s on %s: %lld nodes, %lld classes, propagation %s\n",
-               checkpoint->model_name.c_str(), input.name.c_str(),
+               initial->model_name.c_str(), input.name.c_str(),
                static_cast<long long>(session->num_nodes()),
                static_cast<long long>(session->num_classes()),
-               session->used_propagation_cache() ? "cache hit" : "computed");
+               initial->used_propagation_cache ? "cache hit" : "computed");
 
   serve::ServeMetrics metrics;
-  serve::MicroBatcher::Options batcher_options;
-  batcher_options.max_batch_nodes = flags.GetInt("max_batch_nodes", 4096);
-  batcher_options.max_queue_depth = flags.GetInt("max_queue_depth", 4096);
-  serve::MicroBatcher batcher(&*session, &metrics, batcher_options);
-  const int64_t batch_lines = std::max<int64_t>(1, flags.GetInt("batch_lines", 1));
-
-  const auto serve_start = std::chrono::steady_clock::now();
-  // One in-order reply slot per request: either an already-formatted error
-  // (parse failures) or a ticket awaiting the pump.
-  struct Slot {
-    std::string error_reply;
-    int64_t id = 0;
-    bool has_ticket = false;
-    serve::MicroBatcher::Ticket ticket;
-  };
-  StdinLineReader reader;
-  std::string line;
-  bool at_eof = false;
-  while (!at_eof) {
-    std::vector<Slot> slots;
-    while (static_cast<int64_t>(slots.size()) < batch_lines) {
-      if (g_shutdown_signal != 0) {
-        at_eof = true;
-        break;
-      }
-      const StdinLineReader::ReadResult read = reader.Next(&line);
-      if (read != StdinLineReader::ReadResult::kLine) {
-        at_eof = true;
-        break;
-      }
-      if (line.empty()) continue;
-      Slot slot;
-      Result<serve::ServeRequest> request = serve::ParseRequestLine(line);
-      if (!request.ok()) {
-        slot.error_reply =
-            serve::FormatErrorReply(-1, request.status().message());
-      } else if (request->is_reload) {
-        slot.error_reply = serve::FormatErrorReply(
-            request->id, "reload requires --listen mode");
-      } else {
-        slot.id = request->id;
-        slot.has_ticket = true;
-        slot.ticket =
-            batcher.Submit(std::move(request->nodes), request->deadline_ms);
-      }
-      slots.push_back(std::move(slot));
-    }
-    while (batcher.queue_depth() > 0) batcher.PumpOnce();
-    for (Slot& slot : slots) {
-      std::string reply;
-      if (!slot.has_ticket) {
-        reply = std::move(slot.error_reply);
-      } else {
-        Result<std::vector<int64_t>> classes = slot.ticket.Wait();
-        if (classes.ok()) {
-          reply = serve::FormatClassesReply(slot.id, *classes);
-        } else if (classes.status().code() == StatusCode::kUnavailable) {
-          reply = serve::FormatOverloadedReply(slot.id,
-                                               classes.status().message());
-        } else {
-          reply =
-              serve::FormatErrorReply(slot.id, classes.status().message());
-        }
-      }
-      std::fputs(reply.c_str(), stdout);
-      std::fputc('\n', stdout);
-    }
-    std::fflush(stdout);
+  Result<std::unique_ptr<net::Server>> server =
+      tcp ? net::Server::Create(options, &registry, &metrics)
+          : net::Server::CreateStdio(options, &registry, &metrics,
+                                     STDIN_FILENO, STDOUT_FILENO);
+  if (!server.ok()) return Fail(server.status());
+  if (tcp) {
+    std::fprintf(stderr, "listening on %s:%u\n",
+                 options.host.empty() || options.host == "*"
+                     ? "0.0.0.0"
+                     : options.host.c_str(),
+                 static_cast<unsigned>((*server)->port()));
+    std::fflush(stderr);  // harnesses grep the announced port immediately
   }
-  batcher.Shutdown();
+
+  // Publish the wake fd, then replay a stop signal that arrived during
+  // startup: one that lands after the store writes to the pipe itself.
+  g_server_wake_fd = (*server)->wake_fd();
+  if (g_shutdown_signal != 0) (*server)->RequestStop();
+  const auto serve_start = std::chrono::steady_clock::now();
+  const Status status = (*server)->Serve();
+  g_server_wake_fd = -1;
+  if (!status.ok()) return Fail(status);
   if (g_shutdown_signal != 0) {
     std::fprintf(stderr,
                  "draining: received signal %d; in-flight requests "
@@ -417,6 +240,23 @@ int Main(int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     serve_start)
           .count();
+  const net::ServerStats& stats = (*server)->stats();
+  std::fprintf(stderr,
+               "connections: %llu accepted, %llu closed by peer, %llu "
+               "dropped, %llu io errors, %llu over capacity, %llu idle "
+               "closed, %llu stall dropped, %llu fd exhausted; reloads: "
+               "%llu ok, %llu failed (generation %lld)\n",
+               static_cast<unsigned long long>(stats.accepted),
+               static_cast<unsigned long long>(stats.closed_by_peer),
+               static_cast<unsigned long long>(stats.dropped),
+               static_cast<unsigned long long>(stats.io_errors),
+               static_cast<unsigned long long>(stats.over_capacity),
+               static_cast<unsigned long long>(stats.idle_closed),
+               static_cast<unsigned long long>(stats.stall_dropped),
+               static_cast<unsigned long long>(stats.fd_exhausted),
+               static_cast<unsigned long long>(stats.reloads),
+               static_cast<unsigned long long>(stats.reload_failures),
+               static_cast<long long>(registry.generation()));
   PrintMetricsSummary(metrics, elapsed_s);
   return 0;
 }

@@ -7,7 +7,7 @@ lock scopes. Five rules (ids used by the `// analyze:allow(<id>)` escape
 hatch):
 
   hot-alloc           Functions tagged ADPA_HOT (the serving ForwardRows /
-                      Classify path, the MicroBatcher pump, every
+                      Classify path, the MicroBatcher flush, every
                       kernels_*.cc entry point) must not *transitively*
                       reach an allocation site — operator new, push_back/
                       emplace_back/emplace, resize/reserve/insert/assign/

@@ -17,6 +17,9 @@
 #     connection is closed (client sees EOF, not a reset mid-reply), the
 #     drain notice hits stderr, and the process exits 0. Skipped with a
 #     notice when python3 (the test client) is unavailable.
+#  5. A SIGTERM during startup is not lost: stall the initial checkpoint
+#     load with a failpoint delay, SIGTERM adpa_serve --listen inside that
+#     window, and assert it drains and exits 0 without a second signal.
 #
 # Needs binaries built with -DADPA_FAILPOINTS=ON (the `recovery` preset);
 # exits 77 (the autotools/ctest SKIP convention) otherwise.
@@ -174,5 +177,25 @@ PYEOF
   TCP_CASE="TCP drained"
 fi
 
+# --- 5. a SIGTERM during startup still drains ----------------------------
+# The 2 s failpoint delay holds the initial load; the signal lands before
+# the server (and its wake pipe) exists. The watchdog turns a lost signal
+# into a failure instead of a hang.
+ADPA_FAILPOINTS='net.reload.load=delay(2000)' \
+  "$SERVE" --checkpoint="$WORK/reference.ckpt" --in="$WORK/texas.txt" \
+  --listen=127.0.0.1:0 2> "$WORK/startup.log" &
+STARTUP_PID=$!
+sleep 0.5
+kill -TERM "$STARTUP_PID"
+(sleep 15; kill -KILL "$STARTUP_PID" 2> /dev/null) > /dev/null 2>&1 &
+WATCHDOG_PID=$!
+rc=0
+wait "$STARTUP_PID" || rc=$?
+kill "$WATCHDOG_PID" 2> /dev/null || true
+[ "$rc" -eq 0 ] \
+  || fail "SIGTERM during startup: exited $rc, want drain + 0: $(cat "$WORK/startup.log")"
+grep -q 'draining: received signal 15' "$WORK/startup.log" \
+  || fail "SIGTERM during startup was lost: $(cat "$WORK/startup.log")"
+
 echo "crash_harness: OK (crash@8 resumed bitwise, torn snapshot refused," \
-  "SIGTERM drained, $TCP_CASE)"
+  "SIGTERM drained, $TCP_CASE, startup SIGTERM kept)"

@@ -1,10 +1,10 @@
 #!/bin/sh
 # End-to-end serving smoke test: generate a registry benchmark, train a
 # small ADPA model, persist it (src/io/checkpoint.h), serve 100 JSON-lines
-# queries through adpa_serve's micro-batching path, and byte-diff the
-# replies against the checked-in golden file. The query set includes one
-# malformed line and one out-of-range node, so the parse-error and
-# per-request-error paths are covered too.
+# queries over stdin/stdout (one connection of adpa_serve's event loop),
+# and byte-diff the replies against the checked-in golden file. The query
+# set includes one malformed line and one out-of-range node, so the
+# parse-error and per-request-error paths are covered too.
 #
 # The golden stores integer class ids only (argmax of the logits), so it is
 # stable across build modes; it was verified identical between the
@@ -43,7 +43,7 @@ trap 'rm -rf "$WORK"' EXIT
 "$CLI" train --in="$WORK/texas.txt" --model=ADPA --seed=42 --epochs=30 \
   --save_checkpoint="$WORK/model.ckpt" > /dev/null
 "$SERVE" --checkpoint="$WORK/model.ckpt" --in="$WORK/texas.txt" \
-  --batch_lines=8 < "$QUERIES" > "$WORK/replies.jsonl" 2> "$WORK/serve.log"
+  < "$QUERIES" > "$WORK/replies.jsonl" 2> "$WORK/serve.log"
 
 if ! diff -u "$GOLDEN" "$WORK/replies.jsonl"; then
   echo "serve_smoke: FAIL — replies diverge from $GOLDEN" >&2

@@ -1,10 +1,10 @@
 #!/bin/sh
 # End-to-end TCP serving smoke test: the same generate → train → serve →
 # golden-diff loop as serve_smoke.sh, but over a real loopback socket
-# (adpa_serve --listen) instead of stdin/stdout. The TCP reply formatting is
-# byte-identical to stdin mode by design, so the SAME golden file is the
-# oracle: any divergence means the network layer reordered, dropped, or
-# reframed a reply.
+# (adpa_serve --listen) instead of stdin/stdout. Both transports run through
+# the same net::Server loop, so the SAME golden file is the oracle: any
+# divergence means the network layer reordered, dropped, or reframed a
+# reply.
 #
 # A python3 client streams the full query file over one connection (half-
 # closing the write side to flush the final unterminated line), collects
@@ -61,7 +61,7 @@ fail() {
   --save_checkpoint="$WORK/model.ckpt" > /dev/null
 
 "$SERVE" --checkpoint="$WORK/model.ckpt" --in="$WORK/texas.txt" \
-  --batch_lines=8 --listen=127.0.0.1:0 2> "$WORK/serve.log" &
+  --listen=127.0.0.1:0 2> "$WORK/serve.log" &
 SERVE_PID=$!
 
 tries=0
