@@ -453,28 +453,48 @@ Checkpoint MakeCheckpoint(const Model& model, const std::string& model_name,
   return checkpoint;
 }
 
+Status CheckCheckpointDataset(const Checkpoint& checkpoint,
+                              const Dataset& dataset) {
+  if (checkpoint.dataset_hash != DatasetContentHash(dataset)) {
+    return Status::FailedPrecondition(
+        "dataset content hash does not match the checkpoint (graph, "
+        "features, labels, or edge direction changed since training)");
+  }
+  return Status::OK();
+}
+
+Status CheckParameterShapes(const Checkpoint& checkpoint,
+                            const std::vector<ParameterShape>& shapes) {
+  if (shapes.size() != checkpoint.tensors.size()) {
+    return Status::InvalidArgument(
+        "checkpoint has " + std::to_string(checkpoint.tensors.size()) +
+        " tensors but the model has " + std::to_string(shapes.size()) +
+        " parameters (config or dataset mismatch)");
+  }
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    const Matrix& stored = checkpoint.tensors[i].value;
+    if (stored.rows() != shapes[i].rows || stored.cols() != shapes[i].cols) {
+      return Status::InvalidArgument(
+          "tensor " + checkpoint.tensors[i].name + " shape " +
+          std::to_string(stored.rows()) + "x" + std::to_string(stored.cols()) +
+          " does not match the model parameter shape " +
+          std::to_string(shapes[i].rows) + "x" +
+          std::to_string(shapes[i].cols));
+    }
+  }
+  return Status::OK();
+}
+
 Status LoadCheckpointIntoModel(const Checkpoint& checkpoint, Model* model) {
   if (model == nullptr) {
     return Status::InvalidArgument("LoadCheckpointIntoModel: null model");
   }
   std::vector<ag::Variable> params = model->Parameters();
-  if (params.size() != checkpoint.tensors.size()) {
-    return Status::InvalidArgument(
-        "checkpoint has " + std::to_string(checkpoint.tensors.size()) +
-        " tensors but the model has " + std::to_string(params.size()) +
-        " parameters (config or dataset mismatch)");
+  std::vector<ParameterShape> shapes;
+  for (const ag::Variable& param : params) {
+    shapes.push_back({param.rows(), param.cols()});
   }
-  for (size_t i = 0; i < params.size(); ++i) {
-    const Matrix& stored = checkpoint.tensors[i].value;
-    if (!stored.SameShape(params[i].value())) {
-      return Status::InvalidArgument(
-          "tensor " + checkpoint.tensors[i].name + " shape " +
-          std::to_string(stored.rows()) + "x" + std::to_string(stored.cols()) +
-          " does not match the model parameter shape " +
-          std::to_string(params[i].rows()) + "x" +
-          std::to_string(params[i].cols()));
-    }
-  }
+  ADPA_RETURN_IF_ERROR(CheckParameterShapes(checkpoint, shapes));
   for (size_t i = 0; i < params.size(); ++i) {
     *params[i].mutable_value() = checkpoint.tensors[i].value;
   }

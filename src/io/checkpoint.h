@@ -139,9 +139,24 @@ Checkpoint MakeCheckpoint(const Model& model, const std::string& model_name,
                           const ModelConfig& model_config,
                           const TrainConfig& train_config);
 
-/// Copies the checkpoint's tensors into `model`'s parameters (by position).
-/// Fails if the parameter count or any shape disagrees — the model must be
-/// constructed from the same ModelConfig and dataset dimensions.
+/// FailedPrecondition unless `dataset` has the content hash the checkpoint
+/// was trained on. A zero hash is refused like any other mismatch:
+/// MakeCheckpoint never writes one, so it can only come from a damaged or
+/// forged file.
+Status CheckCheckpointDataset(const Checkpoint& checkpoint,
+                              const Dataset& dataset);
+
+/// InvalidArgument unless the checkpoint holds exactly one tensor per entry
+/// of `shapes`, each of that shape, in order, so callers can vet a
+/// checkpoint before building the model it describes.
+Status CheckParameterShapes(const Checkpoint& checkpoint,
+                            const std::vector<ParameterShape>& shapes);
+
+/// Copies the checkpoint's tensors into `model`'s parameters (by position),
+/// the one binding from checkpoint tensors to weights. Fails, leaving the
+/// model untouched, unless CheckParameterShapes passes against the model's
+/// Parameters() — the model must be constructed from the same ModelConfig
+/// and dataset dimensions.
 Status LoadCheckpointIntoModel(const Checkpoint& checkpoint, Model* model);
 
 /// Sidecar cache for the training-free K-step DP propagation (Eq. 9): the

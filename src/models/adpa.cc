@@ -52,6 +52,46 @@ DpLeaves ToDpLeaves(std::vector<std::vector<Matrix>> blocks) {
   return leaves;
 }
 
+std::vector<ParameterShape> AdpaParameterShapes(const ModelConfig& config,
+                                                int64_t num_patterns,
+                                                int64_t num_nodes,
+                                                int64_t feature_dim,
+                                                int64_t num_classes) {
+  // Mirrors the constructor below, member by member in Parameters() order.
+  const int64_t f = feature_dim;
+  const int64_t h = config.hidden;
+  const int64_t steps = std::max(1, config.propagation_steps);
+  const int64_t blocks_per_step =
+      num_patterns + (config.initial_residual ? 1 : 0);
+  const bool attends = config.use_dp_attention;
+  std::vector<ParameterShape> shapes;
+  const auto linear = [&shapes](int64_t in, int64_t out) {
+    shapes.push_back({in, out});
+    shapes.push_back({1, out});
+  };
+  if (attends && config.dp_attention == DpAttention::kOriginal) {
+    shapes.push_back({num_nodes, blocks_per_step});
+  }
+  if (attends && config.dp_attention == DpAttention::kGate) {
+    for (int64_t g = 0; g < blocks_per_step; ++g) linear(f, 1);
+  }
+  if (attends && config.dp_attention == DpAttention::kRecursive) {
+    for (int64_t g = 0; g < blocks_per_step; ++g) linear(2 * f, 1);
+    linear(f, h);  // jk_fuse_
+  } else if (attends && config.dp_attention == DpAttention::kJk) {
+    linear(blocks_per_step * f, h);  // jk_fuse_
+  } else {
+    linear(blocks_per_step * f, h);  // dp_fuse_
+    linear(h, h);
+  }
+  if (config.use_hop_attention) linear(steps * h, steps);
+  const int classifier_layers = std::max(1, config.num_layers - 1);
+  for (int i = 0; i < classifier_layers; ++i) {
+    linear(h, i + 1 == classifier_layers ? num_classes : h);
+  }
+  return shapes;
+}
+
 AdpaModel::AdpaModel(const Dataset& dataset, const ModelConfig& config,
                      Rng* rng)
     : AdpaModel(dataset, config, ChooseDpPatterns(dataset, config), rng) {}

@@ -8,6 +8,10 @@
 
 namespace adpa {
 
+namespace serve {
+class InferenceSession;
+}  // namespace serve
+
 /// The DP set ADPA propagates with under `config`: every pattern of order
 /// ≤ `config.pattern_order`, or, when `config.select_patterns` > 0, the
 /// strongest of them by correlation with the training labels (Sec. IV-B).
@@ -33,6 +37,16 @@ using DpLeaves = std::vector<std::vector<ag::Variable>>;
 
 /// Moves every block into an ag::Constant leaf (no copies).
 DpLeaves ToDpLeaves(std::vector<std::vector<Matrix>> blocks);
+
+/// The shapes AdpaModel::Parameters() has, in order, for a model built
+/// with `config` over `num_patterns` DPs on a dataset of these dimensions,
+/// computed without building the model. Serving checks a checkpoint
+/// against it before allocating anything the checkpoint's config implies.
+std::vector<ParameterShape> AdpaParameterShapes(const ModelConfig& config,
+                                                int64_t num_patterns,
+                                                int64_t num_nodes,
+                                                int64_t feature_dim,
+                                                int64_t num_classes);
 
 /// ADPA — Adaptive Directed Pattern Aggregation (paper Sec. IV), the core
 /// contribution. The model decouples propagation from training:
@@ -85,6 +99,10 @@ class AdpaModel : public Model {
   int steps() const { return steps_; }
 
  private:
+  /// The no-tape serving forward reads the trained members directly; it
+  /// must track every one of them anyway to stay bitwise equal to Forward.
+  friend class serve::InferenceSession;
+
   /// Runs the configured DP attention over the k+1 blocks of one step.
   ag::Variable FuseStep(const std::vector<ag::Variable>& blocks, int step,
                         bool training, Rng* rng);

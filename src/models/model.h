@@ -1,4 +1,5 @@
 #pragma once
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,6 +39,14 @@ struct ModelConfig {
   /// keeping neighborhoods self-free preserves the directional signal
   /// under heterophily (the H2GCN ego/neighbor separation argument).
   bool propagation_self_loops = false;
+};
+
+/// Rows x cols of one trainable parameter.
+struct ParameterShape {
+  int64_t rows = 0;
+  int64_t cols = 0;
+  friend bool operator==(const ParameterShape&,
+                         const ParameterShape&) = default;
 };
 
 /// Common interface: a model is bound to one dataset at construction (it

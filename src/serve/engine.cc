@@ -1,6 +1,5 @@
 #include "src/serve/engine.h"
 
-#include <algorithm>
 #include <cmath>
 #include <iostream>
 #include <utility>
@@ -8,6 +7,7 @@
 #include "src/core/failpoint.h"
 #include "src/core/logging.h"
 #include "src/core/parallel.h"
+#include "src/core/random.h"
 
 namespace adpa::serve {
 namespace {
@@ -21,39 +21,29 @@ void SigmoidInPlace(Matrix* m) {
   m->ApplyFn([](float v) { return 1.0f / (1.0f + std::exp(-v)); });
 }
 
-/// Positional reader over the checkpoint tensor list with shape checking.
-struct TensorCursor {
-  const std::vector<NamedTensor>& tensors;
-  size_t next = 0;
-
-  Status Take(int64_t rows, int64_t cols, const char* role, Matrix* out) {
-    if (next >= tensors.size()) {
-      return Status::InvalidArgument(
-          std::string("checkpoint is missing tensor for ") + role +
-          " (parameter list too short)");
-    }
-    const NamedTensor& tensor = tensors[next];
-    if (tensor.value.rows() != rows || tensor.value.cols() != cols) {
-      return Status::InvalidArgument(
-          std::string("checkpoint tensor ") + tensor.name + " bound to " +
-          role + " has shape " + std::to_string(tensor.value.rows()) + "x" +
-          std::to_string(tensor.value.cols()) + ", expected " +
-          std::to_string(rows) + "x" + std::to_string(cols));
-    }
-    *out = tensor.value;
-    ++next;
-    return Status::OK();
-  }
-};
-
-Matrix* LinearForward(const Matrix& x, const Matrix& weight,
-                      const Matrix& bias, Workspace* ws) {
+Matrix* LinearForward(const Matrix& x, const nn::Linear& layer,
+                      Workspace* ws) {
   // Same kernels as nn::Linear::Forward: ag::MatMul then ag::AddBias,
   // writing into a workspace slot instead of a fresh Matrix.
+  const Matrix& weight = layer.weight().value();
   Matrix* out = ws->Acquire(x.rows(), weight.cols());
   MatMulInto(x, weight, out);
-  AddRowBroadcastInPlace(out, bias);
+  if (layer.bias().defined()) {
+    AddRowBroadcastInPlace(out, layer.bias().value());
+  }
   return out;
+}
+
+Matrix* MlpForward(const nn::Mlp& mlp, const Matrix& input, Workspace* ws) {
+  // nn::Mlp::Forward in eval mode with AdpaModel's default ReLU: activation
+  // between layers, dropout is the identity, none after the last layer.
+  const std::vector<nn::Linear>& layers = mlp.layers();
+  Matrix* h = LinearForward(input, layers[0], ws);
+  for (size_t i = 1; i < layers.size(); ++i) {
+    ReluInPlace(h);
+    h = LinearForward(*h, layers[i], ws);
+  }
+  return h;
 }
 
 /// Per-thread forward scratch. The micro-batcher flushes batches on the
@@ -98,12 +88,7 @@ Result<InferenceSession> InferenceSession::Create(
         "checkpoint records no DP patterns; serving supports ADPA "
         "checkpoints only");
   }
-  if (checkpoint.dataset_hash != 0 &&
-      checkpoint.dataset_hash != DatasetContentHash(dataset)) {
-    return Status::FailedPrecondition(
-        "dataset content hash does not match the checkpoint (graph, "
-        "features, or labels changed since training)");
-  }
+  ADPA_RETURN_IF_ERROR(CheckCheckpointDataset(checkpoint, dataset));
   const int64_t n = dataset.num_nodes();
   const int64_t f = dataset.feature_dim();
   const int64_t num_classes = dataset.num_classes;
@@ -113,31 +98,33 @@ Result<InferenceSession> InferenceSession::Create(
   if (config.hidden <= 0) {
     return Status::InvalidArgument("checkpoint has non-positive hidden dim");
   }
+  // Shapes first: a config that disagrees with its own tensors (say a
+  // hidden dim raised past the stored weights) must not size any buffer.
+  const int64_t k = static_cast<int64_t>(checkpoint.patterns.size());
+  ADPA_RETURN_IF_ERROR(CheckParameterShapes(
+      checkpoint, AdpaParameterShapes(config, k, n, f, num_classes)));
 
   InferenceSession session;
-  session.config_ = config;
-  session.steps_ = std::max(1, config.propagation_steps);
   session.num_nodes_ = n;
   session.num_classes_ = num_classes;
-  const int64_t k = static_cast<int64_t>(checkpoint.patterns.size());
-  const int64_t B = k + (config.initial_residual ? 1 : 0);
-  session.blocks_per_step_ = B;
 
   // --- Eq. 9 precompute: sidecar cache hit, else replay (and refresh). ---
   // Graceful degradation is the contract here: a corrupt, truncated, or
   // unreadable cache must never fail startup — the session recomputes and
   // rewrites the sidecar, paying one slow start instead of an outage.
-  const PropagationCacheKey key =
-      MakePropagationCacheKey(dataset, config, checkpoint.patterns);
+  PropagationCache cache;
   if (!options.propagation_cache_path.empty()) {
+    cache.key = MakePropagationCacheKey(dataset, config, checkpoint.patterns);
     Status injected = ADPA_FAILPOINT_STATUS("serve.cache.load");
     Result<PropagationCache> cached =
-        injected.ok() ? TryLoadPropagationCache(
-                            options.propagation_cache_path, options.limits)
-                      : Result<PropagationCache>(std::move(injected));
-    if (cached.ok() && cached->key == key &&
-        BlocksShapedLike(cached->blocks, session.steps_, B, n, f)) {
-      session.blocks_ = std::move(cached->blocks);
+        injected.ok()
+            ? TryLoadPropagationCache(options.propagation_cache_path)
+            : Result<PropagationCache>(std::move(injected));
+    const int64_t blocks_per_step = k + (config.initial_residual ? 1 : 0);
+    if (cached.ok() && cached->key == cache.key &&
+        BlocksShapedLike(cached->blocks, cache.key.steps, blocks_per_step, n,
+                         f)) {
+      cache.blocks = std::move(cached->blocks);
       session.used_propagation_cache_ = true;
     } else if (!cached.ok() &&
                cached.status().code() != StatusCode::kNotFound) {
@@ -149,12 +136,8 @@ Result<InferenceSession> InferenceSession::Create(
     }
   }
   if (!session.used_propagation_cache_) {
-    session.blocks_ = PropagateDp(dataset, config, checkpoint.patterns);
-    if (!options.propagation_cache_path.empty() &&
-        options.write_cache_on_miss) {
-      PropagationCache cache;
-      cache.key = key;
-      cache.blocks = session.blocks_;
+    cache.blocks = PropagateDp(dataset, config, checkpoint.patterns);
+    if (!options.propagation_cache_path.empty()) {
       // Best effort: a failed cache write only costs the next startup. The
       // atomic rewrite also heals the corrupt-sidecar case above.
       Status cache_write = ADPA_FAILPOINT_STATUS("serve.cache.write");
@@ -169,95 +152,15 @@ Result<InferenceSession> InferenceSession::Create(
     }
   }
 
-  // --- Bind tensors positionally, mirroring AdpaModel::Parameters(). ---
-  TensorCursor cursor{checkpoint.tensors};
-  const int64_t h = config.hidden;
-  if (config.use_dp_attention) {
-    switch (config.dp_attention) {
-      case DpAttention::kOriginal:
-        ADPA_RETURN_IF_ERROR(
-            cursor.Take(n, B, "dp_weights", &session.dp_weights_));
-        break;
-      case DpAttention::kGate:
-        session.gate_layers_.resize(B);
-        for (int64_t g = 0; g < B; ++g) {
-          ADPA_RETURN_IF_ERROR(cursor.Take(
-              f, 1, "gate weight", &session.gate_layers_[g].weight));
-          ADPA_RETURN_IF_ERROR(
-              cursor.Take(1, 1, "gate bias", &session.gate_layers_[g].bias));
-        }
-        break;
-      case DpAttention::kRecursive:
-        session.recursive_layers_.resize(B);
-        for (int64_t g = 0; g < B; ++g) {
-          ADPA_RETURN_IF_ERROR(
-              cursor.Take(2 * f, 1, "recursive weight",
-                          &session.recursive_layers_[g].weight));
-          ADPA_RETURN_IF_ERROR(cursor.Take(
-              1, 1, "recursive bias", &session.recursive_layers_[g].bias));
-        }
-        break;
-      case DpAttention::kJk:
-        break;
-    }
-  }
-  const bool uses_jk_fuse =
-      config.use_dp_attention && (config.dp_attention == DpAttention::kJk ||
-                                  config.dp_attention == DpAttention::kRecursive);
-  if (!uses_jk_fuse) {
-    session.dp_fuse_.resize(2);
-    ADPA_RETURN_IF_ERROR(cursor.Take(B * f, h, "dp_fuse layer 0 weight",
-                                     &session.dp_fuse_[0].weight));
-    ADPA_RETURN_IF_ERROR(cursor.Take(1, h, "dp_fuse layer 0 bias",
-                                     &session.dp_fuse_[0].bias));
-    ADPA_RETURN_IF_ERROR(cursor.Take(h, h, "dp_fuse layer 1 weight",
-                                     &session.dp_fuse_[1].weight));
-    ADPA_RETURN_IF_ERROR(cursor.Take(1, h, "dp_fuse layer 1 bias",
-                                     &session.dp_fuse_[1].bias));
-  } else {
-    const int64_t jk_in =
-        config.dp_attention == DpAttention::kJk ? B * f : f;
-    ADPA_RETURN_IF_ERROR(
-        cursor.Take(jk_in, h, "jk_fuse weight", &session.jk_fuse_.weight));
-    ADPA_RETURN_IF_ERROR(
-        cursor.Take(1, h, "jk_fuse bias", &session.jk_fuse_.bias));
-  }
-  if (config.use_hop_attention) {
-    ADPA_RETURN_IF_ERROR(cursor.Take(session.steps_ * h, session.steps_,
-                                     "hop_scorer weight",
-                                     &session.hop_scorer_.weight));
-    ADPA_RETURN_IF_ERROR(cursor.Take(1, session.steps_, "hop_scorer bias",
-                                     &session.hop_scorer_.bias));
-  }
-  const int classifier_layers = std::max(1, config.num_layers - 1);
-  session.classifier_.resize(classifier_layers);
-  for (int i = 0; i < classifier_layers; ++i) {
-    const int64_t in = i == 0 ? h : h;
-    const int64_t out = i + 1 == classifier_layers ? num_classes : h;
-    ADPA_RETURN_IF_ERROR(cursor.Take(in, out, "classifier weight",
-                                     &session.classifier_[i].weight));
-    ADPA_RETURN_IF_ERROR(
-        cursor.Take(1, out, "classifier bias", &session.classifier_[i].bias));
-  }
-  if (cursor.next != checkpoint.tensors.size()) {
-    return Status::InvalidArgument(
-        "checkpoint has " +
-        std::to_string(checkpoint.tensors.size() - cursor.next) +
-        " unconsumed tensors (config mismatch)");
-  }
+  // --- Restore the model on the blocks (moved into its leaves). ---
+  // The seed only shapes the initial weights the restore overwrites.
+  Rng init_rng(0);
+  auto model = std::make_unique<AdpaModel>(
+      dataset, config, checkpoint.patterns,
+      ToDpLeaves(std::move(cache.blocks)), &init_rng);
+  ADPA_RETURN_IF_ERROR(LoadCheckpointIntoModel(checkpoint, model.get()));
+  session.model_ = std::move(model);
   return session;
-}
-
-Matrix* InferenceSession::MlpForward(const std::vector<LinearParams>& layers,
-                                     const Matrix& input, Workspace* ws) const {
-  // nn::Mlp::Forward in eval mode: activation between layers, dropout is
-  // the identity, no activation after the last layer.
-  Matrix* h = LinearForward(input, layers[0].weight, layers[0].bias, ws);
-  for (size_t i = 1; i < layers.size(); ++i) {
-    ReluInPlace(h);
-    h = LinearForward(*h, layers[i].weight, layers[i].bias, ws);
-  }
-  return h;
 }
 
 Matrix* InferenceSession::FuseStep(const std::vector<const Matrix*>& blocks,
@@ -268,18 +171,19 @@ Matrix* InferenceSession::FuseStep(const std::vector<const Matrix*>& blocks,
   const int64_t cols = blocks[0]->cols();
   Matrix* concat = ws->Acquire(rows, num_blocks * cols);
   std::vector<const Matrix*>& views = Scratch().fuse_views;
-  if (!config_.use_dp_attention) {
+  const AdpaModel& model = *model_;
+  if (!model.config_.use_dp_attention) {
     Matrix* mean = ws->Acquire(rows, cols);
     *mean = *blocks[0];
     for (int64_t g = 1; g < num_blocks; ++g) mean->AddInPlace(*blocks[g]);
     mean->ScaleInPlace(1.0f / static_cast<float>(num_blocks));
     views.assign(num_blocks, mean);  // analyze:allow(alloc): thread_local capacity reuse
     ConcatColsInto(views, concat);
-    Matrix* fused = MlpForward(dp_fuse_, *concat, ws);
+    Matrix* fused = MlpForward(model.dp_fuse_, *concat, ws);
     ReluInPlace(fused);
     return fused;
   }
-  switch (config_.dp_attention) {
+  switch (model.config_.dp_attention) {
     case DpAttention::kOriginal: {
       Matrix* weights = ws->Acquire(dp_rows.rows(), dp_rows.cols());
       SoftmaxRowsInto(dp_rows, weights);
@@ -292,22 +196,21 @@ Matrix* InferenceSession::FuseStep(const std::vector<const Matrix*>& blocks,
         views.push_back(scaled_g);  // analyze:allow(alloc): thread_local capacity reuse
       }
       ConcatColsInto(views, concat);
-      Matrix* fused = MlpForward(dp_fuse_, *concat, ws);
+      Matrix* fused = MlpForward(model.dp_fuse_, *concat, ws);
       ReluInPlace(fused);
       return fused;
     }
     case DpAttention::kGate: {
       views.clear();
       for (int64_t g = 0; g < num_blocks; ++g) {
-        Matrix* gate = LinearForward(*blocks[g], gate_layers_[g].weight,
-                                     gate_layers_[g].bias, ws);
+        Matrix* gate = LinearForward(*blocks[g], model.gate_layers_[g], ws);
         SigmoidInPlace(gate);
         Matrix* scaled_g = ws->Acquire(rows, cols);
         ScaleRowsInto(*blocks[g], *gate, scaled_g);
         views.push_back(scaled_g);  // analyze:allow(alloc): thread_local capacity reuse
       }
       ConcatColsInto(views, concat);
-      Matrix* fused = MlpForward(dp_fuse_, *concat, ws);
+      Matrix* fused = MlpForward(model.dp_fuse_, *concat, ws);
       ReluInPlace(fused);
       return fused;
     }
@@ -318,20 +221,19 @@ Matrix* InferenceSession::FuseStep(const std::vector<const Matrix*>& blocks,
       Matrix* scaled = ws->Acquire(rows, cols);
       for (int64_t g = 1; g < num_blocks; ++g) {
         ConcatColsInto({blocks[g], acc}, pair);
-        Matrix* score = LinearForward(*pair, recursive_layers_[g].weight,
-                                      recursive_layers_[g].bias, ws);
+        Matrix* score =
+            LinearForward(*pair, model.recursive_layers_[g], ws);
         SigmoidInPlace(score);
         ScaleRowsInto(*blocks[g], *score, scaled);
         acc->AddInPlace(*scaled);
       }
-      Matrix* fused = LinearForward(*acc, jk_fuse_.weight, jk_fuse_.bias, ws);
+      Matrix* fused = LinearForward(*acc, model.jk_fuse_, ws);
       ReluInPlace(fused);
       return fused;
     }
     case DpAttention::kJk: {
       ConcatColsInto(blocks, concat);
-      Matrix* fused =
-          LinearForward(*concat, jk_fuse_.weight, jk_fuse_.bias, ws);
+      Matrix* fused = LinearForward(*concat, model.jk_fuse_, ws);
       ReluInPlace(fused);
       return fused;
     }
@@ -352,19 +254,20 @@ Matrix InferenceSession::ForwardBlocks(
     fused.push_back(FuseStep(step_blocks, dp_rows, ws));  // analyze:allow(alloc): thread_local capacity reuse
   }
 
+  const AdpaModel& model = *model_;
+  const int steps = model.steps_;
   Matrix* combined = nullptr;
-  if (config_.use_hop_attention && steps_ > 1) {
+  if (model.config_.use_hop_attention && steps > 1) {
     Matrix* hop_concat =
-        ws->Acquire(fused[0]->rows(), steps_ * fused[0]->cols());
+        ws->Acquire(fused[0]->rows(), steps * fused[0]->cols());
     ConcatColsInto(fused, hop_concat);
-    Matrix* scores = LinearForward(*hop_concat, hop_scorer_.weight,
-                                   hop_scorer_.bias, ws);
+    Matrix* scores = LinearForward(*hop_concat, model.hop_scorer_, ws);
     Matrix* weights = ws->Acquire(scores->rows(), scores->cols());
     SoftmaxRowsInto(*scores, weights);
     Matrix* column = ws->Acquire(fused[0]->rows(), 1);
     combined = ws->Acquire(fused[0]->rows(), fused[0]->cols());
     Matrix* weighted = ws->Acquire(fused[0]->rows(), fused[0]->cols());
-    for (int l = 0; l < steps_; ++l) {
+    for (int l = 0; l < steps; ++l) {
       SliceColsInto(*weights, l, l + 1, column);
       if (l == 0) {
         ScaleRowsInto(*fused[l], *column, combined);
@@ -376,28 +279,34 @@ Matrix InferenceSession::ForwardBlocks(
   } else {
     combined = ws->Acquire(fused[0]->rows(), fused[0]->cols());
     *combined = *fused[0];
-    for (int l = 1; l < steps_; ++l) combined->AddInPlace(*fused[l]);
-    if (steps_ > 1) {
-      combined->ScaleInPlace(1.0f / static_cast<float>(steps_));
+    for (int l = 1; l < steps; ++l) combined->AddInPlace(*fused[l]);
+    if (steps > 1) {
+      combined->ScaleInPlace(1.0f / static_cast<float>(steps));
     }
   }
   // Training applies Dropout here; in eval mode it is the identity. The
   // returned logits are copied out of the workspace so the caller owns them
   // past the next Reset (batch x classes — the one small copy per forward).
-  return *MlpForward(classifier_, *combined, ws);
+  return *MlpForward(model.classifier_, *combined, ws);
 }
 
 Matrix InferenceSession::ForwardAll() const {
   ForwardScratch& scratch = Scratch();
   scratch.ws.Reset();
-  scratch.block_views.resize(blocks_.size());
-  for (size_t l = 0; l < blocks_.size(); ++l) {
+  const DpLeaves& leaves = model_->propagated_;
+  scratch.block_views.resize(leaves.size());
+  for (size_t l = 0; l < leaves.size(); ++l) {
     scratch.block_views[l].clear();
-    for (const Matrix& block : blocks_[l]) {
-      scratch.block_views[l].push_back(&block);
+    for (const ag::Variable& block : leaves[l]) {
+      scratch.block_views[l].push_back(&block.value());
     }
   }
-  return ForwardBlocks(scratch.block_views, dp_weights_, &scratch.ws);
+  const ag::Variable& dp_weights = model_->dp_weights_;
+  if (!dp_weights.defined()) scratch.dp_rows.Resize(0, 0);
+  return ForwardBlocks(scratch.block_views,
+                       dp_weights.defined() ? dp_weights.value()
+                                            : scratch.dp_rows,
+                       &scratch.ws);
 }
 
 Result<Matrix> InferenceSession::ForwardRows(
@@ -422,20 +331,22 @@ Result<Matrix> InferenceSession::ForwardRows(
   SerialSection serial;
   ForwardScratch& scratch = Scratch();
   scratch.ws.Reset();
-  scratch.block_views.resize(blocks_.size());  // analyze:allow(alloc): thread_local capacity reuse
-  for (size_t l = 0; l < blocks_.size(); ++l) {
+  const DpLeaves& leaves = model_->propagated_;
+  scratch.block_views.resize(leaves.size());  // analyze:allow(alloc): thread_local capacity reuse
+  for (size_t l = 0; l < leaves.size(); ++l) {
     scratch.block_views[l].clear();
-    for (const Matrix& block : blocks_[l]) {
+    for (const ag::Variable& block : leaves[l]) {
       Matrix* gathered = scratch.ws.Acquire(
           static_cast<int64_t>(nodes.size()), block.cols());
-      GatherRowsInto(block, nodes, gathered);
+      GatherRowsInto(block.value(), nodes, gathered);
       scratch.block_views[l].push_back(gathered);  // analyze:allow(alloc): thread_local capacity reuse
     }
   }
-  if (dp_weights_.empty()) {
-    scratch.dp_rows.Resize(0, 0);
+  const ag::Variable& dp_weights = model_->dp_weights_;
+  if (dp_weights.defined()) {
+    GatherRowsInto(dp_weights.value(), nodes, &scratch.dp_rows);
   } else {
-    GatherRowsInto(dp_weights_, nodes, &scratch.dp_rows);
+    scratch.dp_rows.Resize(0, 0);
   }
   return ForwardBlocks(scratch.block_views, scratch.dp_rows, &scratch.ws);
 }

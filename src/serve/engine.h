@@ -1,5 +1,6 @@
 #pragma once
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,24 +17,23 @@ namespace adpa::serve {
 /// Options for InferenceSession::Create.
 struct EngineOptions {
   /// When non-empty, the Eq. 9 propagation precompute is read from this
-  /// sidecar cache file if its content-hash key matches, and (optionally)
-  /// written there after a miss. A stale or unreadable cache is a miss,
-  /// never an error.
+  /// sidecar cache file if its content-hash key matches, and written there
+  /// after a miss. A stale or unreadable cache is a miss, never an error.
   std::string propagation_cache_path;
-  bool write_cache_on_miss = true;
-  CheckpointLimits limits;
 };
 
-/// No-tape ADPA inference over a loaded checkpoint.
+/// No-tape ADPA inference over a restored checkpoint.
 ///
-/// The training path builds an autograd graph (ag::Variable nodes) on every
-/// forward; serving does not need gradients, so this engine re-implements
-/// the eval-mode forward directly on Matrix kernels — zero Node
-/// allocations, Dropout elided (it is the identity in eval mode). Every op
-/// calls the *same* kernel the corresponding ag:: op's forward calls
-/// (adpa::MatMul, AddRowBroadcast, adpa::ScaleRows, …), so the logits are
-/// bitwise identical to `model.Forward(/*training=*/false, …)` — a property
-/// serve_test asserts for all four DP-attention variants.
+/// The session holds the trained AdpaModel itself, restored with
+/// LoadCheckpointIntoModel on the Eq. 9 blocks it was trained with.
+/// Serving needs no gradients, so instead of the model's autograd Forward
+/// this engine runs the eval-mode forward over the model's weights directly
+/// on Matrix kernels — zero Node allocations, Dropout elided (it is the
+/// identity in eval mode). Every op calls the *same* kernel the
+/// corresponding ag:: op's forward calls (adpa::MatMul, AddRowBroadcast,
+/// adpa::ScaleRows, …), so the logits are bitwise identical to
+/// `model.Forward(/*training=*/false, …)` — serve_test's differential
+/// sweep asserts it across the ModelConfig space.
 ///
 /// Because every stage is row-wise over nodes (matmuls contract over
 /// feature columns; softmax/attention are per-row), `ForwardRows` on a node
@@ -41,9 +41,10 @@ struct EngineOptions {
 /// is what makes cheap micro-batched point queries possible.
 class InferenceSession {
  public:
-  /// Validates the checkpoint against `dataset` (content hash, shapes),
-  /// replays or cache-loads the K-step DP propagation, and binds every
-  /// tensor to its role (mirroring AdpaModel::Parameters() order).
+  /// Validates the checkpoint against `dataset` (content hash, then every
+  /// tensor shape against AdpaParameterShapes before anything is
+  /// allocated), replays or cache-loads the K-step DP propagation, and
+  /// restores the model on it.
   static Result<InferenceSession> Create(const Checkpoint& checkpoint,
                                          const Dataset& dataset,
                                          const EngineOptions& options = {});
@@ -62,8 +63,6 @@ class InferenceSession {
 
   int64_t num_nodes() const { return num_nodes_; }
   int64_t num_classes() const { return num_classes_; }
-  int steps() const { return steps_; }
-  int64_t blocks_per_step() const { return blocks_per_step_; }
   /// True when the Eq. 9 precompute came from the sidecar cache.
   bool used_propagation_cache() const { return used_propagation_cache_; }
 
@@ -75,11 +74,6 @@ class InferenceSession {
  private:
   InferenceSession() = default;
 
-  struct LinearParams {
-    Matrix weight;  // in x out
-    Matrix bias;    // 1 x out
-  };
-
   /// Shared eval forward over borrowed block matrices; `dp_rows` is the
   /// per-node dp_weights slice for kOriginal (empty row set otherwise).
   /// Every intermediate lives in `ws` (the caller's per-thread workspace),
@@ -89,29 +83,14 @@ class InferenceSession {
                        const Matrix& dp_rows, Workspace* ws) const;
   Matrix* FuseStep(const std::vector<const Matrix*>& blocks,
                    const Matrix& dp_rows, Workspace* ws) const;
-  Matrix* MlpForward(const std::vector<LinearParams>& layers,
-                     const Matrix& input, Workspace* ws) const;
 
-  ModelConfig config_;
-  int steps_ = 0;
-  int64_t blocks_per_step_ = 0;
+  /// The restored model; never written after Create, so concurrent const
+  /// forwards may share it.
+  std::unique_ptr<const AdpaModel> model_;
   int64_t num_nodes_ = 0;
   int64_t num_classes_ = 0;
   bool used_propagation_cache_ = false;
   bool cache_degraded_ = false;
-
-  /// blocks_[l][g]: block g of propagation step l (residual X^(0) first
-  /// when config_.initial_residual), each num_nodes x feature_dim.
-  std::vector<std::vector<Matrix>> blocks_;
-
-  // Parameters, positionally bound from the checkpoint tensor list.
-  Matrix dp_weights_;                          // kOriginal: n x B logits
-  std::vector<LinearParams> gate_layers_;      // kGate
-  std::vector<LinearParams> recursive_layers_; // kRecursive (index 0 unused)
-  std::vector<LinearParams> dp_fuse_;          // fusion MLP (2 layers)
-  LinearParams jk_fuse_;                       // kJk / kRecursive fusion
-  LinearParams hop_scorer_;                    // Eq. 11 scorer
-  std::vector<LinearParams> classifier_;       // head MLP
 };
 
 /// The Eq. 9 precompute a session serves: exactly PropagateDp

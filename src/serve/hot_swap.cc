@@ -17,7 +17,7 @@ Result<SessionRegistry::ReloadInfo> SessionRegistry::Reload(
   // Everything slow — disk, CRC, propagation replay — happens before the
   // lock; the critical section is just the pointer flip.
   ADPA_FAILPOINT("net.reload.load");
-  Result<Checkpoint> checkpoint = TryLoadCheckpoint(path, options_.limits);
+  Result<Checkpoint> checkpoint = TryLoadCheckpoint(path);
   if (!checkpoint.ok()) return checkpoint.status();
   Result<InferenceSession> session =
       InferenceSession::Create(*checkpoint, *dataset_, options_);

@@ -35,6 +35,10 @@ class Linear {
     return weight_.defined() ? weight_.cols() : 0;
   }
 
+  /// W (in x out) and b (1 x out; undefined when built without a bias).
+  const ag::Variable& weight() const { return weight_; }
+  const ag::Variable& bias() const { return bias_; }
+
  private:
   ag::Variable weight_;
   ag::Variable bias_;
@@ -61,6 +65,7 @@ class Mlp {
   std::vector<ag::Variable> Parameters() const;
 
   int num_layers() const { return static_cast<int>(layers_.size()); }
+  const std::vector<Linear>& layers() const { return layers_; }
 
  private:
   std::vector<Linear> layers_;

@@ -1,6 +1,6 @@
 // Serving subsystem tests: the no-tape InferenceSession must be bitwise
-// identical to the training model's eval forward for every DP-attention
-// variant and ablation; batched/subset queries must match full forwards;
+// identical to the training model's eval forward across the ModelConfig
+// space; batched/subset queries must match full forwards;
 // the micro-batcher must answer coalesced requests correctly; the JSON
 // lines codec must accept exactly the request schema.
 
@@ -16,6 +16,7 @@
 #include "src/data/generators.h"
 #include "src/data/splits.h"
 #include "src/io/checkpoint.h"
+#include "src/models/adpa.h"
 #include "src/models/factory.h"
 #include "src/serve/batcher.h"
 #include "src/serve/engine.h"
@@ -128,6 +129,84 @@ TEST(InferenceSessionTest, MatchesEvalForwardForAblations) {
   }
 }
 
+// One case of the differential sweep below. Every parameter (biases and
+// dp_weights included) is drawn at random, so no term of the forward can
+// hide behind a zero initialisation.
+void ExpectServedEqualsEval(const Dataset& dataset, const ModelConfig& config,
+                            uint64_t seed) {
+  Rng rng(seed);
+  AdpaModel model(dataset, config, &rng);
+  std::vector<ParameterShape> shapes;
+  for (ag::Variable& param : model.Parameters()) {
+    shapes.push_back({param.rows(), param.cols()});
+    *param.mutable_value() = Matrix::RandomUniform(param.rows(), param.cols(),
+                                                   &rng, -1.0f, 1.0f);
+  }
+  EXPECT_EQ(AdpaParameterShapes(config,
+                                static_cast<int64_t>(model.patterns().size()),
+                                dataset.num_nodes(), dataset.feature_dim(),
+                                dataset.num_classes),
+            shapes);
+  const Matrix eval = model.Forward(/*training=*/false, &rng).value();
+  Result<serve::InferenceSession> session = serve::InferenceSession::Create(
+      MakeCheckpoint(model, "ADPA", dataset, config, TrainConfig()), dataset);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const Matrix all = session->ForwardAll();
+  EXPECT_TRUE(BitwiseEqual(all, eval));
+
+  const std::vector<int64_t> nodes = {5, 0, 17, 5, 59, 0};
+  Result<Matrix> subset = session->ForwardRows(nodes);
+  ASSERT_TRUE(subset.ok()) << subset.status().ToString();
+  ASSERT_EQ(subset->rows(), static_cast<int64_t>(nodes.size()));
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    EXPECT_EQ(std::memcmp(subset->Row(static_cast<int64_t>(i)),
+                          all.Row(nodes[i]),
+                          static_cast<size_t>(all.cols()) * sizeof(float)),
+              0)
+        << "row " << i << " (node " << nodes[i] << ")";
+  }
+}
+
+// Differential forward sweep over the ModelConfig space: served logits are
+// bitwise the model's eval forward, subset queries are bitwise rows of the
+// full forward, and AdpaParameterShapes is Parameters()' shape list.
+TEST(InferenceSessionTest, DifferentialSweepMatchesEvalForward) {
+  const Dataset dataset = Tiny();
+  uint64_t cases = 0;
+  for (DpAttention variant :
+       {DpAttention::kOriginal, DpAttention::kGate, DpAttention::kRecursive,
+        DpAttention::kJk}) {
+    for (bool dp_attention : {true, false}) {
+      for (bool hop_attention : {true, false}) {
+        for (bool residual : {true, false}) {
+          for (int steps : {1, 2, 3}) {
+            for (int order : {1, 2}) {
+              for (int layers : {2, 3}) {
+                ModelConfig config = SmallConfig();
+                config.dp_attention = variant;
+                config.use_dp_attention = dp_attention;
+                config.use_hop_attention = hop_attention;
+                config.initial_residual = residual;
+                config.propagation_steps = steps;
+                config.pattern_order = order;
+                config.num_layers = layers;
+                SCOPED_TRACE(testing::Message()
+                             << "variant " << static_cast<int>(variant)
+                             << " dp_attention " << dp_attention << " hop "
+                             << hop_attention << " residual " << residual
+                             << " K " << steps << " order " << order
+                             << " layers " << layers);
+                ExpectServedEqualsEval(dataset, config, ++cases);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 4u * 2 * 2 * 2 * 3 * 2 * 2);
+}
+
 TEST(InferenceSessionTest, ForwardRowsEqualsFullForwardRows) {
   SessionFixture fixture(SmallConfig());
   serve::InferenceSession session = fixture.Session();
@@ -159,11 +238,61 @@ TEST(InferenceSessionTest, RejectsBadInputs) {
   ASSERT_FALSE(mismatch.ok());
   EXPECT_EQ(mismatch.status().code(), StatusCode::kFailedPrecondition);
 
-  // Truncated tensor list: positional binding must fail loudly.
-  Checkpoint broken = fixture.checkpoint;
-  broken.tensors.pop_back();
-  EXPECT_FALSE(
-      serve::InferenceSession::Create(broken, fixture.dataset).ok());
+  // Malformed tensor lists come back as InvalidArgument, never an abort.
+  const auto expect_invalid = [&](const Checkpoint& broken) {
+    Result<serve::InferenceSession> refused =
+        serve::InferenceSession::Create(broken, fixture.dataset);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << refused.status().ToString();
+  };
+  {
+    SCOPED_TRACE("one tensor short");
+    Checkpoint broken = fixture.checkpoint;
+    broken.tensors.pop_back();
+    expect_invalid(broken);
+  }
+  {
+    SCOPED_TRACE("one extra trailing tensor");
+    Checkpoint broken = fixture.checkpoint;
+    broken.tensors.push_back(broken.tensors.back());
+    expect_invalid(broken);
+  }
+  {
+    SCOPED_TRACE("one tensor of the wrong shape");
+    Checkpoint broken = fixture.checkpoint;
+    Matrix& first = broken.tensors.front().value;
+    first = Matrix(first.rows(), first.cols() + 1);
+    expect_invalid(broken);
+  }
+  {
+    SCOPED_TRACE("kGate tensors under a kJk config");
+    ModelConfig gate = SmallConfig();
+    gate.dp_attention = DpAttention::kGate;
+    Checkpoint broken = SessionFixture(gate).checkpoint;
+    broken.model_config.dp_attention = DpAttention::kJk;
+    expect_invalid(broken);
+  }
+  {
+    // Refused from the shapes alone: building the model this config
+    // describes would allocate 16 GiB for one classifier weight.
+    SCOPED_TRACE("hidden raised to the reader's limit over hidden=16 tensors");
+    Checkpoint broken = fixture.checkpoint;
+    broken.model_config.hidden = CheckpointLimits{}.max_hidden_dim;
+    expect_invalid(broken);
+  }
+}
+
+TEST(InferenceSessionTest, RefusesZeroedDatasetHash) {
+  // MakeCheckpoint never writes a zero hash, so a zero is a damaged or
+  // forged field, not a "skip the check" wildcard.
+  SessionFixture fixture(SmallConfig());
+  Checkpoint zeroed = fixture.checkpoint;
+  zeroed.dataset_hash = 0;
+  Result<serve::InferenceSession> refused =
+      serve::InferenceSession::Create(zeroed, fixture.dataset);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(InferenceSessionTest, PropagationCacheHitReproducesResults) {

@@ -142,12 +142,8 @@ int Train(const Flags& flags) {
   if (!load_path.empty()) {
     Result<Checkpoint> checkpoint = TryLoadCheckpoint(load_path);
     if (!checkpoint.ok()) return Fail(checkpoint.status());
-    if (checkpoint->dataset_hash != 0 &&
-        checkpoint->dataset_hash != DatasetContentHash(input)) {
-      return Fail(Status::FailedPrecondition(
-          "dataset content does not match the checkpoint (was it trained "
-          "with/without --undirect, or on different data?)"));
-    }
+    const Status same_data = CheckCheckpointDataset(*checkpoint, input);
+    if (!same_data.ok()) return Fail(same_data);
     Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 42)));
     // Propagate with the checkpoint's recorded DP pattern set: the content
     // hash above does not cover the train split, and a correlation-selected
@@ -185,12 +181,8 @@ int Train(const Flags& flags) {
           resume_path + " is a final checkpoint without training state; "
           "only periodic snapshots (--checkpoint_every) can be resumed"));
     }
-    if (snapshot->dataset_hash != 0 &&
-        snapshot->dataset_hash != DatasetContentHash(input)) {
-      return Fail(Status::FailedPrecondition(
-          "dataset content does not match the snapshot (was it trained "
-          "with/without --undirect, or on different data?)"));
-    }
+    const Status same_data = CheckCheckpointDataset(*snapshot, input);
+    if (!same_data.ok()) return Fail(same_data);
     resolved_model_name = snapshot->model_name;
     config = snapshot->model_config;
     model = CreateModelWithPatterns(resolved_model_name, input, config,
