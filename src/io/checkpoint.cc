@@ -1,6 +1,7 @@
 #include "src/io/checkpoint.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -495,6 +496,17 @@ Status LoadCheckpointIntoModel(const Checkpoint& checkpoint, Model* model) {
     shapes.push_back({param.rows(), param.cols()});
   }
   ADPA_RETURN_IF_ERROR(CheckParameterShapes(checkpoint, shapes));
+  // A diverged run saves NaN weights under a valid CRC; served, they would
+  // answer class 0 for every node.
+  for (size_t i = 0; i < params.size(); ++i) {
+    const Matrix& stored = checkpoint.tensors[i].value;
+    if (!std::all_of(stored.data(), stored.data() + stored.size(),
+                     [](float v) { return std::isfinite(v); })) {
+      return Status::InvalidArgument(
+          "tensor " + std::to_string(i) + " (" + checkpoint.tensors[i].name +
+          ") holds a NaN or Inf; refusing non-finite weights");
+    }
+  }
   for (size_t i = 0; i < params.size(); ++i) {
     *params[i].mutable_value() = checkpoint.tensors[i].value;
   }

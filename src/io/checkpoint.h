@@ -156,7 +156,7 @@ Status CheckParameterShapes(const Checkpoint& checkpoint,
 /// the one binding from checkpoint tensors to weights. Fails, leaving the
 /// model untouched, unless CheckParameterShapes passes against the model's
 /// Parameters() — the model must be constructed from the same ModelConfig
-/// and dataset dimensions.
+/// and dataset dimensions — and every value is finite.
 Status LoadCheckpointIntoModel(const Checkpoint& checkpoint, Model* model);
 
 /// Sidecar cache for the training-free K-step DP propagation (Eq. 9): the

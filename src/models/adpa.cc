@@ -1,11 +1,13 @@
 #include "src/models/adpa.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "src/amud/amud.h"
 #include "src/core/logging.h"
 #include "src/core/random.h"
+#include "src/tensor/workspace.h"
 
 namespace adpa {
 
@@ -76,7 +78,7 @@ std::vector<ParameterShape> AdpaParameterShapes(const ModelConfig& config,
     for (int64_t g = 0; g < blocks_per_step; ++g) linear(f, 1);
   }
   if (attends && config.dp_attention == DpAttention::kRecursive) {
-    for (int64_t g = 0; g < blocks_per_step; ++g) linear(2 * f, 1);
+    for (int64_t g = 1; g < blocks_per_step; ++g) linear(2 * f, 1);
     linear(f, h);  // jk_fuse_
   } else if (attends && config.dp_attention == DpAttention::kJk) {
     linear(blocks_per_step * f, h);  // jk_fuse_
@@ -84,7 +86,7 @@ std::vector<ParameterShape> AdpaParameterShapes(const ModelConfig& config,
     linear(blocks_per_step * f, h);  // dp_fuse_
     linear(h, h);
   }
-  if (config.use_hop_attention) linear(steps * h, steps);
+  if (config.use_hop_attention && steps > 1) linear(steps * h, steps);
   const int classifier_layers = std::max(1, config.num_layers - 1);
   for (int i = 0; i < classifier_layers; ++i) {
     linear(h, i + 1 == classifier_layers ? num_classes : h);
@@ -136,7 +138,7 @@ AdpaModel::AdpaModel(const Dataset& dataset, const ModelConfig& config,
         }
         break;
       case DpAttention::kRecursive:
-        for (int64_t g = 0; g < blocks_per_step; ++g) {
+        for (int64_t g = 1; g < blocks_per_step; ++g) {
           recursive_layers_.emplace_back(2 * f, 1, rng);
         }
         break;
@@ -156,7 +158,7 @@ AdpaModel::AdpaModel(const Dataset& dataset, const ModelConfig& config,
   }
 
   // --- Stage 3 parameters: node-wise hop attention (Eq. 11). ---
-  if (config_.use_hop_attention) {
+  if (config_.use_hop_attention && steps_ > 1) {
     hop_scorer_ = nn::Linear(steps_ * config.hidden, steps_, rng);
   }
   classifier_ = nn::Mlp(config.hidden, config.hidden, dataset.num_classes,
@@ -164,95 +166,251 @@ AdpaModel::AdpaModel(const Dataset& dataset, const ModelConfig& config,
                         config.dropout);
 }
 
-ag::Variable AdpaModel::FuseStep(const std::vector<ag::Variable>& blocks,
-                                 int step, bool training, Rng* rng) {
-  (void)step;
+namespace {
+
+/// Tape executor: each op is the ag:: op, so a pass records its backward.
+/// tools/analyze.py matches calls by name, so ForwardRows reaches these ops
+/// through WorkspaceOps' ops of the same names: false edges, waived at each
+/// call into ag::.
+struct TapeOps {
+  using Value = ag::Variable;
+  using List = std::vector<ag::Variable>;
+
+  const DpLeaves& leaves;
+  const Value& dp_weights;
+  bool training;
+  Rng* rng;
+
+  const List& Blocks(int step) { return leaves[step]; }
+  const Value& DpWeights() { return dp_weights; }
+  // A temporary; ForwardOn binds lists with auto&&, so a pooled one works too.
+  List NewList(int64_t size) { return List(static_cast<size_t>(size)); }
+
+  // Tape values are immutable, so a copy is the value itself.
+  Value Copy(const Value& x) { return x; }
+  Value Affine(const nn::Linear& layer, const Value& x) {
+    return layer.Forward(x);  // analyze:allow(alloc): tape op, a false edge from ForwardRows
+  }
+  Value AddTo(const Value& acc, const Value& x) {
+    return ag::Add(acc, x);  // analyze:allow(alloc): tape op, a false edge from ForwardRows
+  }
+  Value ScaleBy(const Value& x, float factor) {
+    return ag::Scale(x, factor);  // analyze:allow(alloc): tape op, a false edge from ForwardRows
+  }
+  Value ReluOp(const Value& x) {
+    return ag::Relu(x);  // analyze:allow(alloc): tape op, a false edge from ForwardRows
+  }
+  Value SigmoidOp(const Value& x) {
+    return ag::Sigmoid(x);  // analyze:allow(alloc): tape op, a false edge from ForwardRows
+  }
+  Value Concat(const List& parts) {
+    return ag::ConcatCols(parts);  // analyze:allow(alloc): tape op, a false edge from ForwardRows
+  }
+  Value Column(const Value& x, int64_t c) {
+    return ag::SliceCols(x, c, c + 1);  // analyze:allow(alloc): tape op, a false edge from ForwardRows
+  }
+  Value WeighRows(const Value& x, const Value& w) {
+    return ag::ScaleRows(x, w);  // analyze:allow(alloc): tape op, a false edge from ForwardRows
+  }
+  Value SoftmaxOp(const Value& x) {
+    return ag::SoftmaxRows(x);  // analyze:allow(alloc): tape op, a false edge from ForwardRows
+  }
+  Value DropoutOp(const Value& x, float p) {
+    return ag::Dropout(x, p, training, rng);  // analyze:allow(alloc): tape op, a false edge from ForwardRows
+  }
+};
+
+/// Workspace executor: each op runs its TapeOps op's forward kernel into a
+/// Workspace slot, so eval values match bit for bit; Dropout is the identity.
+/// Only a Value operand, a slot filled here that the definition reads no
+/// more, is overwritten in place; inputs are bound `const`, never written.
+struct WorkspaceOps {
+  using Value = Matrix*;
+  using List = std::vector<const Matrix*>;
+
+  const DpLeaves& leaves;
+  const ag::Variable& dp_weights;
+  const std::vector<int64_t>* nodes;  // rows to bind; null binds all rows
+  Workspace* ws;
+
+  const List& Blocks(int step) {
+    List& blocks = NewList(static_cast<int64_t>(leaves[step].size()));
+    for (size_t g = 0; g < blocks.size(); ++g) {
+      blocks[g] = Bind(leaves[step][g].value());
+    }
+    return blocks;
+  }
+  const Matrix* DpWeights() { return Bind(dp_weights.value()); }
+  List& NewList(int64_t size) { return ws->AcquireList(size); }
+  // Input rows: the leaf itself, or rows `nodes` gathered into a slot.
+  const Matrix* Bind(const Matrix& leaf) {
+    if (nodes == nullptr) return &leaf;
+    Value rows = ws->Acquire(static_cast<int64_t>(nodes->size()), leaf.cols());
+    GatherRowsInto(leaf, *nodes, rows);
+    return rows;
+  }
+
+  Value Copy(const Matrix* x) {
+    Value out = ws->Acquire(x->rows(), x->cols());
+    *out = *x;
+    return out;
+  }
+  Value Affine(const nn::Linear& layer, const Matrix* x) {
+    const Matrix& weight = layer.weight().value();
+    Value out = ws->Acquire(x->rows(), weight.cols());
+    MatMulInto(*x, weight, out);
+    if (layer.bias().defined()) {
+      AddRowBroadcastInPlace(out, layer.bias().value());
+    }
+    return out;
+  }
+  Value AddTo(Value acc, const Matrix* x) {
+    acc->AddInPlace(*x);
+    return acc;
+  }
+  Value ScaleBy(Value x, float factor) {
+    x->ScaleInPlace(factor);
+    return x;
+  }
+  // The ag::Relu / ag::Sigmoid expressions, over the same ApplyFn loop.
+  Value ReluOp(Value x) {
+    x->ApplyFn([](float v) { return v > 0.0f ? v : 0.0f; });
+    return x;
+  }
+  Value SigmoidOp(Value x) {
+    x->ApplyFn([](float v) { return 1.0f / (1.0f + std::exp(-v)); });
+    return x;
+  }
+  Value Concat(const List& parts) {
+    int64_t cols = 0;
+    for (const Matrix* part : parts) cols += part->cols();
+    Value out = ws->Acquire(parts[0]->rows(), cols);
+    ConcatColsInto(parts, out);
+    return out;
+  }
+  Value Column(const Matrix* x, int64_t c) {
+    Value out = ws->Acquire(x->rows(), 1);
+    SliceColsInto(*x, c, c + 1, out);
+    return out;
+  }
+  Value WeighRows(const Matrix* x, const Matrix* w) {
+    Value out = ws->Acquire(x->rows(), x->cols());
+    ScaleRowsInto(*x, *w, out);
+    return out;
+  }
+  Value SoftmaxOp(const Matrix* x) {
+    Value out = ws->Acquire(x->rows(), x->cols());
+    SoftmaxRowsInto(*x, out);
+    return out;
+  }
+  Value DropoutOp(Value x, float /*p*/) { return x; }
+};
+
+/// nn::Mlp::Forward for AdpaModel's MLPs, which use the default ReLU: the
+/// activation and then dropout between layers, nothing after the last.
+template <typename Ops>
+typename Ops::Value MlpOn(Ops& ops, const nn::Mlp& mlp,
+                          typename Ops::Value x, float dropout) {
+  const std::vector<nn::Linear>& layers = mlp.layers();
+  for (size_t i = 0; i < layers.size(); ++i) {
+    x = ops.Affine(layers[i], x);
+    if (i + 1 < layers.size()) x = ops.DropoutOp(ops.ReluOp(x), dropout);
+  }
+  return x;
+}
+
+}  // namespace
+
+template <typename Ops>
+typename Ops::Value AdpaModel::FuseStep(
+    Ops& ops, const typename Ops::List& blocks) const {
   const int64_t num_blocks = static_cast<int64_t>(blocks.size());
-  if (!config_.use_dp_attention) {
-    // Ablation: uniform average of blocks, then the fusion MLP on the
-    // (replicated) concatenation to keep parameter shapes unchanged.
-    ag::Variable mean = blocks[0];
+  const bool attends = config_.use_dp_attention;
+  if (attends && config_.dp_attention == DpAttention::kRecursive) {
+    // GAMLP-style recursive attention: each block is gated against the
+    // running accumulated representation.
+    typename Ops::Value acc = ops.Copy(blocks[0]);
     for (int64_t g = 1; g < num_blocks; ++g) {
-      mean = ag::Add(mean, blocks[g]);
+      auto&& pair = ops.NewList(2);
+      pair[0] = blocks[g];
+      pair[1] = acc;
+      typename Ops::Value score = ops.SigmoidOp(
+          ops.Affine(recursive_layers_[g - 1], ops.Concat(pair)));
+      acc = ops.AddTo(acc, ops.WeighRows(blocks[g], score));
     }
-    mean = ag::Scale(mean, 1.0f / static_cast<float>(num_blocks));
-    std::vector<ag::Variable> replicated(num_blocks, mean);
-    return ag::Relu(dp_fuse_.Forward(ag::ConcatCols(replicated), training,
-                                     rng));
+    return ops.ReluOp(ops.Affine(jk_fuse_, acc));
   }
-  switch (config_.dp_attention) {
-    case DpAttention::kOriginal: {
-      // Eq. (10): learnable per-node, per-block weights, softmax-normalized
-      // across blocks, then MLP over the weighted concatenation.
-      ag::Variable weights = ag::SoftmaxRows(dp_weights_);
-      std::vector<ag::Variable> scaled;
-      scaled.reserve(num_blocks);
-      for (int64_t g = 0; g < num_blocks; ++g) {
-        scaled.push_back(
-            ag::ScaleRows(blocks[g], ag::SliceCols(weights, g, g + 1)));
-      }
-      return ag::Relu(
-          dp_fuse_.Forward(ag::ConcatCols(scaled), training, rng));
+  if (attends && config_.dp_attention == DpAttention::kJk) {
+    // Jumping-knowledge fusion: unweighted concatenation + linear.
+    return ops.ReluOp(ops.Affine(jk_fuse_, ops.Concat(blocks)));
+  }
+  // The other three run the fusion MLP over a concatenation of k+1 parts.
+  auto&& parts = ops.NewList(num_blocks);
+  if (!attends) {
+    // Ablation: uniform average of blocks, replicated to keep the fusion
+    // MLP's parameter shapes unchanged.
+    typename Ops::Value mean = ops.Copy(blocks[0]);
+    for (int64_t g = 1; g < num_blocks; ++g) {
+      mean = ops.AddTo(mean, blocks[g]);
     }
-    case DpAttention::kGate: {
-      // Per-block sigmoid gate computed from the block itself.
-      std::vector<ag::Variable> scaled;
-      scaled.reserve(num_blocks);
-      for (int64_t g = 0; g < num_blocks; ++g) {
-        ag::Variable gate = ag::Sigmoid(gate_layers_[g].Forward(blocks[g]));
-        scaled.push_back(ag::ScaleRows(blocks[g], gate));
-      }
-      return ag::Relu(
-          dp_fuse_.Forward(ag::ConcatCols(scaled), training, rng));
+    mean = ops.ScaleBy(mean, 1.0f / static_cast<float>(num_blocks));
+    for (auto& part : parts) part = mean;
+  } else if (config_.dp_attention == DpAttention::kOriginal) {
+    // Eq. (10): learnable per-node, per-block weights, softmax-normalized
+    // across blocks.
+    typename Ops::Value weights = ops.SoftmaxOp(ops.DpWeights());
+    for (int64_t g = 0; g < num_blocks; ++g) {
+      parts[g] = ops.WeighRows(blocks[g], ops.Column(weights, g));
     }
-    case DpAttention::kRecursive: {
-      // GAMLP-style recursive attention: each block is gated against the
-      // running accumulated representation.
-      ag::Variable acc = blocks[0];
-      for (int64_t g = 1; g < num_blocks; ++g) {
-        ag::Variable score = ag::Sigmoid(recursive_layers_[g].Forward(
-            ag::ConcatCols({blocks[g], acc})));
-        acc = ag::Add(acc, ag::ScaleRows(blocks[g], score));
-      }
-      return ag::Relu(jk_fuse_.Forward(acc));
-    }
-    case DpAttention::kJk: {
-      // Jumping-knowledge fusion: unweighted concatenation + linear.
-      return ag::Relu(jk_fuse_.Forward(ag::ConcatCols(blocks)));
+  } else {
+    // kGate: a per-block sigmoid gate computed from the block itself.
+    for (int64_t g = 0; g < num_blocks; ++g) {
+      parts[g] = ops.WeighRows(
+          blocks[g], ops.SigmoidOp(ops.Affine(gate_layers_[g], blocks[g])));
     }
   }
-  ADPA_CHECK(false) << "unreachable";
-  return blocks[0];
+  return ops.ReluOp(
+      MlpOn(ops, dp_fuse_, ops.Concat(parts), config_.dropout));
+}
+
+template <typename Ops>
+typename Ops::Value AdpaModel::ForwardOn(Ops& ops) const {
+  // Stage 2: fuse the k+1 blocks of every step.
+  auto&& fused = ops.NewList(steps_);
+  for (int l = 0; l < steps_; ++l) fused[l] = FuseStep(ops, ops.Blocks(l));
+
+  // Stage 3: node-wise hop attention across the K fused representations.
+  typename Ops::Value combined{};
+  if (config_.use_hop_attention && steps_ > 1) {
+    typename Ops::Value scores =
+        ops.SoftmaxOp(ops.Affine(hop_scorer_, ops.Concat(fused)));
+    for (int l = 0; l < steps_; ++l) {
+      typename Ops::Value weighted =
+          ops.WeighRows(fused[l], ops.Column(scores, l));
+      combined = l == 0 ? weighted : ops.AddTo(combined, weighted);
+    }
+  } else {
+    combined = ops.Copy(fused[0]);
+    for (int l = 1; l < steps_; ++l) combined = ops.AddTo(combined, fused[l]);
+    if (steps_ > 1) {
+      combined = ops.ScaleBy(combined, 1.0f / static_cast<float>(steps_));
+    }
+  }
+
+  combined = ops.DropoutOp(combined, config_.dropout);
+  return MlpOn(ops, classifier_, combined, config_.dropout);
 }
 
 ag::Variable AdpaModel::Forward(bool training, Rng* rng) {
-  // Stage 2: fuse the k+1 blocks of every step.
-  std::vector<ag::Variable> fused;
-  fused.reserve(steps_);
-  for (int l = 0; l < steps_; ++l) {
-    fused.push_back(FuseStep(propagated_[l], l, training, rng));
-  }
+  TapeOps ops{propagated_, dp_weights_, training, rng};
+  return ForwardOn(ops);
+}
 
-  // Stage 3: node-wise hop attention across the K fused representations.
-  ag::Variable combined;
-  if (config_.use_hop_attention && steps_ > 1) {
-    ag::Variable scores =
-        ag::SoftmaxRows(hop_scorer_.Forward(ag::ConcatCols(fused)));
-    for (int l = 0; l < steps_; ++l) {
-      ag::Variable weighted =
-          ag::ScaleRows(fused[l], ag::SliceCols(scores, l, l + 1));
-      combined = l == 0 ? weighted : ag::Add(combined, weighted);
-    }
-  } else {
-    combined = fused[0];
-    for (int l = 1; l < steps_; ++l) combined = ag::Add(combined, fused[l]);
-    if (steps_ > 1) {
-      combined = ag::Scale(combined, 1.0f / static_cast<float>(steps_));
-    }
-  }
-
-  combined = ag::Dropout(combined, config_.dropout, training, rng);
-  return classifier_.Forward(combined, training, rng);
+Matrix AdpaModel::Evaluate(const std::vector<int64_t>* nodes,
+                           Workspace* ws) const {
+  WorkspaceOps ops{propagated_, dp_weights_, nodes, ws};
+  // Copied out so the caller owns it past the next Reset.
+  return *ForwardOn(ops);
 }
 
 std::vector<ag::Variable> AdpaModel::Parameters() const {
@@ -270,7 +428,7 @@ std::vector<ag::Variable> AdpaModel::Parameters() const {
   if (jk_fuse_.in_features() > 0) {
     for (const auto& p : jk_fuse_.Parameters()) params.push_back(p);
   }
-  if (config_.use_hop_attention && hop_scorer_.in_features() > 0) {
+  if (hop_scorer_.in_features() > 0) {
     for (const auto& p : hop_scorer_.Parameters()) params.push_back(p);
   }
   for (const auto& p : classifier_.Parameters()) params.push_back(p);

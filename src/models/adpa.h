@@ -8,9 +8,7 @@
 
 namespace adpa {
 
-namespace serve {
-class InferenceSession;
-}  // namespace serve
+class Workspace;
 
 /// The DP set ADPA propagates with under `config`: every pattern of order
 /// ≤ `config.pattern_order`, or, when `config.select_patterns` > 0, the
@@ -68,6 +66,9 @@ std::vector<ParameterShape> AdpaParameterShapes(const ModelConfig& config,
 /// a uniform average; `initial_residual = false` drops X^(0) from the
 /// block list (Eq. 9's over-smoothing guard).
 ///
+/// Steps 2–4 are written once, over an executor (ForwardOn): Forward runs
+/// them on the autograd tape, Evaluate on Workspace slots.
+///
 /// ADPA accepts both AMDirected and AMUndirected inputs: on a symmetric
 /// graph A = Aᵀ and the DP set degenerates gracefully.
 class AdpaModel : public Model {
@@ -92,6 +93,14 @@ class AdpaModel : public Model {
 
   ag::Variable Forward(bool training, Rng* rng) override;
   std::vector<ag::Variable> Parameters() const override;
+
+  /// Rows `nodes` (in range, may repeat; every row when null) of
+  /// Forward(false)'s logits, bit for bit, computed without a tape in `ws`.
+  /// The caller Resets `ws` between calls; a repeat with as many nodes then
+  /// allocates only the result. Threads with their own `ws` may share the
+  /// model.
+  Matrix Evaluate(const std::vector<int64_t>* nodes, Workspace* ws) const;
+
   std::string name() const override { return "ADPA"; }
 
   /// Patterns actually used (k of them), for inspection/tests.
@@ -99,13 +108,17 @@ class AdpaModel : public Model {
   int steps() const { return steps_; }
 
  private:
-  /// The no-tape serving forward reads the trained members directly; it
-  /// must track every one of them anyway to stay bitwise equal to Forward.
-  friend class serve::InferenceSession;
+  /// Steps 2–4 on executor `ops` (TapeOps or WorkspaceOps in adpa.cc), which
+  /// binds the node-indexed inputs and supplies every op; the template fixes
+  /// which ops run and in what order (marian's `Node`: one op definition,
+  /// forward kept apart from backward).
+  template <typename Ops>
+  typename Ops::Value ForwardOn(Ops& ops) const;
 
-  /// Runs the configured DP attention over the k+1 blocks of one step.
-  ag::Variable FuseStep(const std::vector<ag::Variable>& blocks, int step,
-                        bool training, Rng* rng);
+  /// The configured DP attention (Eq. 10) over the k+1 blocks of one step.
+  template <typename Ops>
+  typename Ops::Value FuseStep(Ops& ops,
+                               const typename Ops::List& blocks) const;
 
   ModelConfig config_;
   std::vector<DirectedPattern> patterns_;
@@ -117,11 +130,11 @@ class AdpaModel : public Model {
   // DP attention parameters (per variant; only the active set is created).
   ag::Variable dp_weights_;              // Original: n x (k+1) logits
   std::vector<nn::Linear> gate_layers_;  // Gate: one f->1 scorer per block
-  std::vector<nn::Linear> recursive_layers_;  // Recursive: 2f->1 scorers
+  std::vector<nn::Linear> recursive_layers_;  // Recursive: 2f->1, blocks 1..k
   nn::Mlp dp_fuse_;                      // (k+1)f -> h fusion MLP (Eq. 10)
   nn::Linear jk_fuse_;                   // JK variant: (k+1)f -> h linear
 
-  // Hop attention (Eq. 11).
+  // Hop attention (Eq. 11); built only when it runs (K > 1).
   nn::Linear hop_scorer_;  // K·h -> K
   nn::Mlp classifier_;     // h -> C
 };

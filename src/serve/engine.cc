@@ -1,67 +1,21 @@
 #include "src/serve/engine.h"
 
-#include <cmath>
 #include <iostream>
 #include <utility>
 
 #include "src/core/failpoint.h"
-#include "src/core/logging.h"
 #include "src/core/parallel.h"
 #include "src/core/random.h"
+#include "src/tensor/workspace.h"
 
 namespace adpa::serve {
 namespace {
 
-/// Elementwise maps matching the ag::Relu / ag::Sigmoid forwards bit for
-/// bit (same expressions, same ApplyFn loop).
-void ReluInPlace(Matrix* m) {
-  m->ApplyFn([](float v) { return v > 0.0f ? v : 0.0f; });
-}
-void SigmoidInPlace(Matrix* m) {
-  m->ApplyFn([](float v) { return 1.0f / (1.0f + std::exp(-v)); });
-}
-
-Matrix* LinearForward(const Matrix& x, const nn::Linear& layer,
-                      Workspace* ws) {
-  // Same kernels as nn::Linear::Forward: ag::MatMul then ag::AddBias,
-  // writing into a workspace slot instead of a fresh Matrix.
-  const Matrix& weight = layer.weight().value();
-  Matrix* out = ws->Acquire(x.rows(), weight.cols());
-  MatMulInto(x, weight, out);
-  if (layer.bias().defined()) {
-    AddRowBroadcastInPlace(out, layer.bias().value());
-  }
-  return out;
-}
-
-Matrix* MlpForward(const nn::Mlp& mlp, const Matrix& input, Workspace* ws) {
-  // nn::Mlp::Forward in eval mode with AdpaModel's default ReLU: activation
-  // between layers, dropout is the identity, none after the last layer.
-  const std::vector<nn::Linear>& layers = mlp.layers();
-  Matrix* h = LinearForward(input, layers[0], ws);
-  for (size_t i = 1; i < layers.size(); ++i) {
-    ReluInPlace(h);
-    h = LinearForward(*h, layers[i], ws);
-  }
-  return h;
-}
-
-/// Per-thread forward scratch. The micro-batcher flushes batches on the
-/// serving loop's thread, so each serving thread owns one workspace plus the
-/// reusable view vectors, and steady-state forwards never allocate.
-struct ForwardScratch {
-  Workspace ws;
-  std::vector<std::vector<const Matrix*>> block_views;
-  Matrix dp_rows;
-  /// Reused view lists for FuseStep / ForwardBlocks so steady-state
-  /// forwards build their per-step pointer lists without reallocating.
-  std::vector<const Matrix*> fuse_views;
-  std::vector<const Matrix*> fused_steps;
-};
-
-ForwardScratch& Scratch() {
-  thread_local ForwardScratch scratch;
-  return scratch;
+/// The calling thread's forward workspace: the micro-batcher flushes on the
+/// serving loop's thread, so steady-state forwards reuse it and never allocate.
+Workspace& ThreadWorkspace() {
+  thread_local Workspace ws;
+  return ws;
 }
 
 bool BlocksShapedLike(const std::vector<std::vector<Matrix>>& blocks,
@@ -163,150 +117,10 @@ Result<InferenceSession> InferenceSession::Create(
   return session;
 }
 
-Matrix* InferenceSession::FuseStep(const std::vector<const Matrix*>& blocks,
-                                   const Matrix& dp_rows,
-                                   Workspace* ws) const {
-  const int64_t num_blocks = static_cast<int64_t>(blocks.size());
-  const int64_t rows = blocks[0]->rows();
-  const int64_t cols = blocks[0]->cols();
-  Matrix* concat = ws->Acquire(rows, num_blocks * cols);
-  std::vector<const Matrix*>& views = Scratch().fuse_views;
-  const AdpaModel& model = *model_;
-  if (!model.config_.use_dp_attention) {
-    Matrix* mean = ws->Acquire(rows, cols);
-    *mean = *blocks[0];
-    for (int64_t g = 1; g < num_blocks; ++g) mean->AddInPlace(*blocks[g]);
-    mean->ScaleInPlace(1.0f / static_cast<float>(num_blocks));
-    views.assign(num_blocks, mean);  // analyze:allow(alloc): thread_local capacity reuse
-    ConcatColsInto(views, concat);
-    Matrix* fused = MlpForward(model.dp_fuse_, *concat, ws);
-    ReluInPlace(fused);
-    return fused;
-  }
-  switch (model.config_.dp_attention) {
-    case DpAttention::kOriginal: {
-      Matrix* weights = ws->Acquire(dp_rows.rows(), dp_rows.cols());
-      SoftmaxRowsInto(dp_rows, weights);
-      Matrix* column = ws->Acquire(rows, 1);
-      views.clear();
-      for (int64_t g = 0; g < num_blocks; ++g) {
-        SliceColsInto(*weights, g, g + 1, column);
-        Matrix* scaled_g = ws->Acquire(rows, cols);
-        ScaleRowsInto(*blocks[g], *column, scaled_g);
-        views.push_back(scaled_g);  // analyze:allow(alloc): thread_local capacity reuse
-      }
-      ConcatColsInto(views, concat);
-      Matrix* fused = MlpForward(model.dp_fuse_, *concat, ws);
-      ReluInPlace(fused);
-      return fused;
-    }
-    case DpAttention::kGate: {
-      views.clear();
-      for (int64_t g = 0; g < num_blocks; ++g) {
-        Matrix* gate = LinearForward(*blocks[g], model.gate_layers_[g], ws);
-        SigmoidInPlace(gate);
-        Matrix* scaled_g = ws->Acquire(rows, cols);
-        ScaleRowsInto(*blocks[g], *gate, scaled_g);
-        views.push_back(scaled_g);  // analyze:allow(alloc): thread_local capacity reuse
-      }
-      ConcatColsInto(views, concat);
-      Matrix* fused = MlpForward(model.dp_fuse_, *concat, ws);
-      ReluInPlace(fused);
-      return fused;
-    }
-    case DpAttention::kRecursive: {
-      Matrix* acc = ws->Acquire(rows, cols);
-      *acc = *blocks[0];
-      Matrix* pair = ws->Acquire(rows, 2 * cols);
-      Matrix* scaled = ws->Acquire(rows, cols);
-      for (int64_t g = 1; g < num_blocks; ++g) {
-        ConcatColsInto({blocks[g], acc}, pair);
-        Matrix* score =
-            LinearForward(*pair, model.recursive_layers_[g], ws);
-        SigmoidInPlace(score);
-        ScaleRowsInto(*blocks[g], *score, scaled);
-        acc->AddInPlace(*scaled);
-      }
-      Matrix* fused = LinearForward(*acc, model.jk_fuse_, ws);
-      ReluInPlace(fused);
-      return fused;
-    }
-    case DpAttention::kJk: {
-      ConcatColsInto(blocks, concat);
-      Matrix* fused = LinearForward(*concat, model.jk_fuse_, ws);
-      ReluInPlace(fused);
-      return fused;
-    }
-  }
-  ADPA_CHECK(false) << "unreachable";
-  return concat;
-}
-
-Matrix InferenceSession::ForwardBlocks(
-    const std::vector<std::vector<const Matrix*>>& blocks,
-    const Matrix& dp_rows, Workspace* ws) const {
-  // Per-step fused outputs live in the thread_local scratch (not a fresh
-  // vector) so steady-state forwards reuse its capacity. FuseStep writes
-  // only Scratch().fuse_views, never fused_steps, so the lists don't alias.
-  std::vector<const Matrix*>& fused = Scratch().fused_steps;
-  fused.clear();
-  for (const auto& step_blocks : blocks) {
-    fused.push_back(FuseStep(step_blocks, dp_rows, ws));  // analyze:allow(alloc): thread_local capacity reuse
-  }
-
-  const AdpaModel& model = *model_;
-  const int steps = model.steps_;
-  Matrix* combined = nullptr;
-  if (model.config_.use_hop_attention && steps > 1) {
-    Matrix* hop_concat =
-        ws->Acquire(fused[0]->rows(), steps * fused[0]->cols());
-    ConcatColsInto(fused, hop_concat);
-    Matrix* scores = LinearForward(*hop_concat, model.hop_scorer_, ws);
-    Matrix* weights = ws->Acquire(scores->rows(), scores->cols());
-    SoftmaxRowsInto(*scores, weights);
-    Matrix* column = ws->Acquire(fused[0]->rows(), 1);
-    combined = ws->Acquire(fused[0]->rows(), fused[0]->cols());
-    Matrix* weighted = ws->Acquire(fused[0]->rows(), fused[0]->cols());
-    for (int l = 0; l < steps; ++l) {
-      SliceColsInto(*weights, l, l + 1, column);
-      if (l == 0) {
-        ScaleRowsInto(*fused[l], *column, combined);
-      } else {
-        ScaleRowsInto(*fused[l], *column, weighted);
-        combined->AddInPlace(*weighted);
-      }
-    }
-  } else {
-    combined = ws->Acquire(fused[0]->rows(), fused[0]->cols());
-    *combined = *fused[0];
-    for (int l = 1; l < steps; ++l) combined->AddInPlace(*fused[l]);
-    if (steps > 1) {
-      combined->ScaleInPlace(1.0f / static_cast<float>(steps));
-    }
-  }
-  // Training applies Dropout here; in eval mode it is the identity. The
-  // returned logits are copied out of the workspace so the caller owns them
-  // past the next Reset (batch x classes — the one small copy per forward).
-  return *MlpForward(model.classifier_, *combined, ws);
-}
-
 Matrix InferenceSession::ForwardAll() const {
-  ForwardScratch& scratch = Scratch();
-  scratch.ws.Reset();
-  const DpLeaves& leaves = model_->propagated_;
-  scratch.block_views.resize(leaves.size());
-  for (size_t l = 0; l < leaves.size(); ++l) {
-    scratch.block_views[l].clear();
-    for (const ag::Variable& block : leaves[l]) {
-      scratch.block_views[l].push_back(&block.value());
-    }
-  }
-  const ag::Variable& dp_weights = model_->dp_weights_;
-  if (!dp_weights.defined()) scratch.dp_rows.Resize(0, 0);
-  return ForwardBlocks(scratch.block_views,
-                       dp_weights.defined() ? dp_weights.value()
-                                            : scratch.dp_rows,
-                       &scratch.ws);
+  Workspace& ws = ThreadWorkspace();
+  ws.Reset();
+  return model_->Evaluate(/*nodes=*/nullptr, &ws);
 }
 
 Result<Matrix> InferenceSession::ForwardRows(
@@ -329,26 +143,9 @@ Result<Matrix> InferenceSession::ForwardRows(
   // QPS sat *below* 1-thread before this pin). Run the whole request
   // inline; results are identical by the thread-count-invariance contract.
   SerialSection serial;
-  ForwardScratch& scratch = Scratch();
-  scratch.ws.Reset();
-  const DpLeaves& leaves = model_->propagated_;
-  scratch.block_views.resize(leaves.size());  // analyze:allow(alloc): thread_local capacity reuse
-  for (size_t l = 0; l < leaves.size(); ++l) {
-    scratch.block_views[l].clear();
-    for (const ag::Variable& block : leaves[l]) {
-      Matrix* gathered = scratch.ws.Acquire(
-          static_cast<int64_t>(nodes.size()), block.cols());
-      GatherRowsInto(block.value(), nodes, gathered);
-      scratch.block_views[l].push_back(gathered);  // analyze:allow(alloc): thread_local capacity reuse
-    }
-  }
-  const ag::Variable& dp_weights = model_->dp_weights_;
-  if (dp_weights.defined()) {
-    GatherRowsInto(dp_weights.value(), nodes, &scratch.dp_rows);
-  } else {
-    scratch.dp_rows.Resize(0, 0);
-  }
-  return ForwardBlocks(scratch.block_views, scratch.dp_rows, &scratch.ws);
+  Workspace& ws = ThreadWorkspace();
+  ws.Reset();
+  return model_->Evaluate(&nodes, &ws);
 }
 
 Result<std::vector<int64_t>> InferenceSession::Classify(

@@ -10,7 +10,6 @@
 #include "src/io/checkpoint.h"
 #include "src/models/adpa.h"
 #include "src/tensor/matrix.h"
-#include "src/tensor/workspace.h"
 
 namespace adpa::serve {
 
@@ -25,15 +24,12 @@ struct EngineOptions {
 /// No-tape ADPA inference over a restored checkpoint.
 ///
 /// The session holds the trained AdpaModel itself, restored with
-/// LoadCheckpointIntoModel on the Eq. 9 blocks it was trained with.
-/// Serving needs no gradients, so instead of the model's autograd Forward
-/// this engine runs the eval-mode forward over the model's weights directly
-/// on Matrix kernels — zero Node allocations, Dropout elided (it is the
-/// identity in eval mode). Every op calls the *same* kernel the
-/// corresponding ag:: op's forward calls (adpa::MatMul, AddRowBroadcast,
-/// adpa::ScaleRows, …), so the logits are bitwise identical to
-/// `model.Forward(/*training=*/false, …)` — serve_test's differential
-/// sweep asserts it across the ModelConfig space.
+/// LoadCheckpointIntoModel on the Eq. 9 blocks it was trained with, and
+/// answers with AdpaModel::Evaluate: the model's one Eq. 10/11 and
+/// classifier definition run on a thread_local Workspace instead of the
+/// autograd tape, so the logits are bitwise those of
+/// `model.Forward(/*training=*/false, …)` — serve_test's differential sweep
+/// asserts it across the ModelConfig space.
 ///
 /// Because every stage is row-wise over nodes (matmuls contract over
 /// feature columns; softmax/attention are per-row), `ForwardRows` on a node
@@ -73,16 +69,6 @@ class InferenceSession {
 
  private:
   InferenceSession() = default;
-
-  /// Shared eval forward over borrowed block matrices; `dp_rows` is the
-  /// per-node dp_weights slice for kOriginal (empty row set otherwise).
-  /// Every intermediate lives in `ws` (the caller's per-thread workspace),
-  /// so steady-state forwards perform zero heap allocations; helpers return
-  /// pointers to workspace slots, valid until the workspace is Reset.
-  Matrix ForwardBlocks(const std::vector<std::vector<const Matrix*>>& blocks,
-                       const Matrix& dp_rows, Workspace* ws) const;
-  Matrix* FuseStep(const std::vector<const Matrix*>& blocks,
-                   const Matrix& dp_rows, Workspace* ws) const;
 
   /// The restored model; never written after Create, so concurrent const
   /// forwards may share it.

@@ -14,4 +14,14 @@ Matrix* Workspace::Acquire(int64_t rows, int64_t cols) {
   return slot;
 }
 
+std::vector<const Matrix*>& Workspace::AcquireList(int64_t size) {
+  if (next_list_ == lists_.size()) {
+    lists_.push_back(std::make_unique<std::vector<const Matrix*>>());  // analyze:allow(alloc): list-pool growth
+  }
+  std::vector<const Matrix*>& list = *lists_[next_list_++];
+  // assign() reallocates only past the list's high-water size.
+  list.assign(static_cast<size_t>(size), nullptr);  // analyze:allow(alloc): list-pool growth
+  return list;
+}
+
 }  // namespace adpa

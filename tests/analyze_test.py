@@ -83,6 +83,19 @@ class AnalyzeRuleTest(unittest.TestCase):
         self.assertEqual([rule for _, rule, _ in hits], ["hot-alloc"])
         self.assertIn("HotLambda", hits[0][2])
 
+    def test_executor_waiver_stays_with_its_executor(self):
+        # Two executors define the ops a hot template calls by name. One
+        # executor's call-site waivers must silence neither the other
+        # executor's op of the same name nor the definition after them.
+        path = "src/models/executors.cc"
+        hits = hits_for(self.findings, path)
+        self.assertEqual([rule for _, rule, _ in hits], ["hot-alloc"])
+        with open(os.path.join(FIXTURE_ROOT, path), encoding="utf-8") as f:
+            expected = [n for n, text in enumerate(f, 1)
+                        if "expect: hot-alloc" in text]
+        self.assertEqual([line for line, _, _ in hits], expected)
+        self.assertIn("Finish <- Definition <- HotExecutorRoot", hits[0][2])
+
     def test_blocking_under_lock_variants(self):
         hits = hits_for(self.findings, "src/core/block_under_lock.cc")
         self.assertEqual({rule for _, rule, _ in hits},

@@ -148,10 +148,12 @@ TEST(ComposedGradcheckTest, TwoLayerMlpWithAttention) {
 }
 
 // End-to-end: one full ADPA forward pass (DP-guided propagation + DP
-// attention + hop attention + MLP classifier) against finite differences.
-// Entries are sampled per parameter to keep the quadratic FD cost bounded;
-// the tolerance is looser than the per-op ones because float32 error
-// compounds across the deep composition.
+// attention + hop attention + MLP classifier) against finite differences,
+// for every Eq. 10 variant, the uniform-average ablation, and K = 1. Every
+// parameter must receive a gradient, so a weight the forward never reads
+// fails here. Entries are sampled per parameter to keep the quadratic FD
+// cost bounded; the tolerance is looser than the per-op ones because
+// float32 error compounds across the deep composition.
 TEST(ComposedGradcheckTest, FullAdpaForwardPass) {
   DsbmConfig config;
   config.num_nodes = 24;
@@ -171,30 +173,48 @@ TEST(ComposedGradcheckTest, FullAdpaForwardPass) {
   dataset.val_idx = split->val;
   dataset.test_idx = split->test;
 
-  ModelConfig model_config;
-  model_config.hidden = 8;
-  model_config.num_layers = 2;
-  model_config.dropout = 0.0f;  // eval-mode forward is dropout-free anyway
-  model_config.propagation_steps = 2;
-  model_config.pattern_order = 1;
-  Rng model_rng(23);
-  AdpaModel model(dataset, model_config, &model_rng);
-
-  Rng forward_rng(24);
-  auto loss = [&]() {
-    ag::Variable logits = model.Forward(/*training=*/false, &forward_rng);
-    return ag::MaskedCrossEntropy(logits, dataset.labels, dataset.train_idx);
+  struct Case {
+    const char* name;
+    DpAttention variant;
+    bool dp_attention;
+    int steps;
   };
+  for (const Case& c :
+       {Case{"Original", DpAttention::kOriginal, true, 2},
+        Case{"Gate", DpAttention::kGate, true, 2},
+        Case{"Recursive", DpAttention::kRecursive, true, 2},
+        Case{"JK", DpAttention::kJk, true, 2},
+        Case{"UniformDpAverage", DpAttention::kOriginal, false, 2},
+        Case{"OriginalK1", DpAttention::kOriginal, true, 1}}) {
+    SCOPED_TRACE(c.name);
+    ModelConfig model_config;
+    model_config.hidden = 8;
+    model_config.num_layers = 2;
+    model_config.dropout = 0.0f;  // eval-mode forward is dropout-free anyway
+    model_config.propagation_steps = c.steps;
+    model_config.pattern_order = 1;
+    model_config.dp_attention = c.variant;
+    model_config.use_dp_attention = c.dp_attention;
+    Rng model_rng(23);
+    AdpaModel model(dataset, model_config, &model_rng);
 
-  GradcheckOptions options;
-  options.tolerance = 5e-2;
-  options.max_entries_per_input = 6;
-  options.seed = 25;
-  const GradcheckReport report =
-      CheckGradients("FullAdpaForwardPass", loss, model.Parameters(),
-                     options);
-  EXPECT_TRUE(report.ok) << report.Summary();
-  EXPECT_GT(report.entries_checked, 0);
+    Rng forward_rng(24);
+    auto loss = [&]() {
+      ag::Variable logits = model.Forward(/*training=*/false, &forward_rng);
+      return ag::MaskedCrossEntropy(logits, dataset.labels,
+                                    dataset.train_idx);
+    };
+
+    GradcheckOptions options;
+    options.tolerance = 5e-2;
+    options.max_entries_per_input = 6;
+    options.seed = 25;
+    const GradcheckReport report =
+        CheckGradients(std::string("FullAdpaForwardPass/") + c.name, loss,
+                       model.Parameters(), options);
+    EXPECT_TRUE(report.ok) << report.Summary();
+    EXPECT_GT(report.entries_checked, 0);
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "src/graph/patterns.h"
 #include "src/models/adpa.h"
 #include "src/models/factory.h"
+#include "src/tensor/workspace.h"
 #include "src/train/trainer.h"
 
 namespace adpa {
@@ -318,6 +319,45 @@ TEST(AdpaSemanticsTest, EvalForwardIsDeterministicAndDropoutFree) {
       << "eval forward must be bitwise repeatable (Dropout as identity)";
   EXPECT_FALSE(AllClose(train_out, eval_a, 1e-6f))
       << "training forward should differ once dropout fires";
+}
+
+TEST(AdpaSemanticsTest, EvaluateReusesItsWorkspace) {
+  // Serving's allocation-free steady state, held by the model itself: on a
+  // Reset workspace, a second Evaluate with as many nodes creates no slot
+  // and no list, and repeats the logits bit for bit.
+  Dataset ds = Tiny(18);
+  const std::vector<int64_t> nodes = {3, 0, 41, 3, 79};
+  ModelConfig config;
+  config.hidden = 16;
+  std::vector<ModelConfig> configs;
+  for (DpAttention variant :
+       {DpAttention::kOriginal, DpAttention::kGate, DpAttention::kRecursive,
+        DpAttention::kJk}) {
+    config.dp_attention = variant;
+    configs.push_back(config);
+  }
+  config.dp_attention = DpAttention::kOriginal;
+  config.use_dp_attention = false;
+  configs.push_back(config);
+  for (const ModelConfig& c : configs) {
+    SCOPED_TRACE(testing::Message()
+                 << "variant " << static_cast<int>(c.dp_attention)
+                 << " dp_attention " << c.use_dp_attention);
+    Rng rng(18);
+    AdpaModel model(ds, c, &rng);
+    Workspace ws;
+    const Matrix first = model.Evaluate(&nodes, &ws);
+    const int64_t slots = ws.slots();
+    const int64_t lists = ws.lists();
+    ws.Reset();
+    const Matrix second = model.Evaluate(&nodes, &ws);
+    EXPECT_EQ(ws.slots(), slots);
+    EXPECT_EQ(ws.lists(), lists);
+    ASSERT_TRUE(first.SameShape(second));
+    EXPECT_EQ(std::memcmp(first.data(), second.data(),
+                          sizeof(float) * first.size()),
+              0);
+  }
 }
 
 TEST(AdpaSemanticsTest, SharedLeafPrefixEqualsStandaloneModel) {

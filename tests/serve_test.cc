@@ -7,6 +7,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -293,6 +295,24 @@ TEST(InferenceSessionTest, RefusesZeroedDatasetHash) {
       serve::InferenceSession::Create(zeroed, fixture.dataset);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(InferenceSessionTest, RefusesNonFiniteWeights) {
+  // A diverged run checkpoints NaN weights under a valid CRC; served, they
+  // answered class 0 for every node. The restore names the tensor instead.
+  SessionFixture fixture(SmallConfig());
+  for (float poison : {std::numeric_limits<float>::quiet_NaN(),
+                       -std::numeric_limits<float>::infinity()}) {
+    Checkpoint poisoned = fixture.checkpoint;
+    poisoned.tensors[2].value.At(0, 0) = poison;
+    Result<serve::InferenceSession> refused =
+        serve::InferenceSession::Create(poisoned, fixture.dataset);
+    ASSERT_FALSE(refused.ok()) << "served a checkpoint holding " << poison;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.status().message().find("tensor 2 "),
+              std::string::npos)
+        << refused.status().ToString();
+  }
 }
 
 TEST(InferenceSessionTest, PropagationCacheHitReproducesResults) {

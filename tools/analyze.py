@@ -68,7 +68,9 @@ Waiver placement (`// analyze:allow(<id>)[: reason]`):
     as an allocation-free leaf everywhere it is called; untrusted-size:
     the callee's outputs are trusted (no taint imported from it);
     unchecked-status: the callee's result may be discarded anywhere
-    (fire-and-forget by contract).
+    (fire-and-forget by contract). A definition header's waiver (alloc,
+    untrusted-size) covers the header from its first code line, so a
+    waiver on the previous function's last line does not reach it.
 
 Frontends (`--frontend`):
   internal (default)  A dependency-free C++ lexer: comments/strings/
@@ -629,14 +631,19 @@ def scan_file_internal(model, root, rel_path):
             kind, name = classify_header(header, fn_scope is not None)
             scope = Scope(kind, header, header_line, name)
             if kind == "function":
+                # Header waivers cover the header from its first code line:
+                # the text before it ends the previous definition, whose
+                # last call-site waiver must not leaf-waive this function.
+                lead = header[:len(header) - len(header.lstrip())]
+                span = range(lead.count("\n"), header.count("\n") + 1)
                 fn = FunctionDef(
                     name, rel_path, header_line, header_is_hot(header),
                     any(waiver_at(raw_lines, header_line + k, "alloc")
-                        for k in range(header.count("\n") + 1)),
+                        for k in span),
                     parse_params(header))
                 fn.taint_trusted = any(
                     waiver_at(raw_lines, header_line + k, "untrusted-size")
-                    for k in range(header.count("\n") + 1))
+                    for k in span)
                 scope.fn = fn
                 model.add_function(fn)
             elif kind == "block" and fn_scope is not None:
