@@ -262,16 +262,6 @@ void BM_AmudAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_AmudAnalysis)->Arg(500)->Arg(2000);
 
-void BM_PatternReachability(benchmark::State& state) {
-  Dataset ds = MakeGraph(2000, static_cast<double>(state.range(0)), 16);
-  PatternSet patterns(ds.graph.AdjacencyMatrix(), 0.5, false);
-  const DirectedPattern aat{{Hop::kOut, Hop::kIn}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(patterns.Reachability(aat));
-  }
-}
-BENCHMARK(BM_PatternReachability)->Arg(4)->Arg(16);
-
 }  // namespace
 }  // namespace adpa
 

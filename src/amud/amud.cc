@@ -3,23 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
-#include "src/core/logging.h"
-#include "src/core/random.h"
 #include "src/core/strings.h"
 
 namespace adpa {
-namespace {
 
-/// Phi coefficient of two binary variables from contingency counts:
-///   x = 1[pair is pattern-connected], y = 1[pair endpoints share a label]
-/// over the population of all ordered pairs u != v.
-double PhiCoefficient(double total_pairs, double connected_pairs,
-                      double same_label_pairs,
-                      double connected_same_label_pairs) {
-  const double n11 = connected_same_label_pairs;
-  const double n1x = connected_pairs;
-  const double nx1 = same_label_pairs;
+double PatternPairCounts::Correlation() const {
+  const double total_pairs = static_cast<double>(pairs);
+  const double n11 = static_cast<double>(connected_same);
+  const double n1x = static_cast<double>(connected);
+  const double nx1 = static_cast<double>(same_label);
   const double numerator = total_pairs * n11 - n1x * nx1;
   const double denominator = std::sqrt(n1x * (total_pairs - n1x)) *
                              std::sqrt(nx1 * (total_pairs - nx1));
@@ -27,101 +21,102 @@ double PhiCoefficient(double total_pairs, double connected_pairs,
   return numerator / denominator;
 }
 
-}  // namespace
-
-double PatternLabelCorrelation(const SparseMatrix& reachability,
-                               const std::vector<int64_t>& labels) {
-  const int64_t n = reachability.rows();
-  ADPA_CHECK_EQ(reachability.cols(), n);
-  ADPA_CHECK_EQ(static_cast<int64_t>(labels.size()), n);
-  if (n < 2) return 0.0;
-
-  // Same-label ordered pairs: Σ_c n_c (n_c - 1).
-  int64_t max_label = 0;
-  for (int64_t label : labels) max_label = std::max(max_label, label);
-  std::vector<int64_t> class_counts(max_label + 1, 0);
-  for (int64_t label : labels) ++class_counts[label];
-  double same_label_pairs = 0.0;
-  for (int64_t count : class_counts) {
-    same_label_pairs += static_cast<double>(count) * (count - 1);
+Result<std::vector<PatternPairCounts>> CountPatternPairs(
+    const Digraph& graph, const std::vector<int64_t>& labels,
+    const std::vector<DirectedPattern>& patterns,
+    const std::vector<int64_t>* known_idx) {
+  const int64_t n = graph.num_nodes();
+  if (static_cast<int64_t>(labels.size()) != n) {
+    return Status::InvalidArgument("labels size must equal num_nodes");
   }
-
-  // Connected pairs (diagonal entries excluded: pairs require u != v).
-  double connected = 0.0;
-  double connected_same = 0.0;
-  const auto& row_ptr = reachability.row_ptr();
-  const auto& col_idx = reachability.col_idx();
-  const auto& values = reachability.values();
-  for (int64_t u = 0; u < n; ++u) {
-    for (int64_t p = row_ptr[u]; p < row_ptr[u + 1]; ++p) {
-      const int64_t v = col_idx[p];
-      if (v == u || values[p] == 0.0f) continue;
-      connected += 1.0;
-      connected_same += labels[u] == labels[v];
+  for (const DirectedPattern& p : patterns) {
+    if (p.order() < 1) {
+      return Status::InvalidArgument("a directed pattern needs a hop");
     }
   }
-
-  const double total_pairs = static_cast<double>(n) * (n - 1);
-  return PhiCoefficient(total_pairs, connected, same_label_pairs,
-                        connected_same);
-}
-
-double PatternLabelCorrelationMasked(const SparseMatrix& reachability,
-                                     const std::vector<int64_t>& labels,
-                                     const std::vector<int64_t>& known_idx) {
-  const int64_t n = reachability.rows();
-  ADPA_CHECK_EQ(reachability.cols(), n);
-  ADPA_CHECK_EQ(static_cast<int64_t>(labels.size()), n);
-  if (known_idx.size() < 2) return 0.0;
-  std::vector<uint8_t> known(n, 0);
-  for (int64_t i : known_idx) {
-    ADPA_CHECK_GE(i, 0);
-    ADPA_CHECK_LT(i, n);
-    known[i] = 1;
-  }
-  int64_t max_label = 0;
-  for (int64_t i : known_idx) max_label = std::max(max_label, labels[i]);
-  std::vector<int64_t> class_counts(max_label + 1, 0);
-  for (int64_t i : known_idx) ++class_counts[labels[i]];
-  double same_label_pairs = 0.0;
-  for (int64_t count : class_counts) {
-    same_label_pairs += static_cast<double>(count) * (count - 1);
-  }
-  double connected = 0.0, connected_same = 0.0;
-  const auto& row_ptr = reachability.row_ptr();
-  const auto& col_idx = reachability.col_idx();
-  const auto& values = reachability.values();
-  for (int64_t u = 0; u < n; ++u) {
-    if (!known[u]) continue;
-    for (int64_t p = row_ptr[u]; p < row_ptr[u + 1]; ++p) {
-      const int64_t v = col_idx[p];
-      if (v == u || !known[v] || values[p] == 0.0f) continue;
-      connected += 1.0;
-      connected_same += labels[u] == labels[v];
+  // The population's nodes, each at most once, and their labels.
+  std::vector<uint8_t> known(n, known_idx == nullptr ? 1 : 0);
+  std::vector<int64_t> population_labels;
+  if (known_idx == nullptr) {
+    population_labels = labels;
+  } else {
+    for (int64_t i : *known_idx) {
+      if (i < 0 || i >= n) {
+        return Status::OutOfRange("known index out of range");
+      }
+      if (known[i]) return Status::InvalidArgument("duplicate known index");
+      known[i] = 1;
+      population_labels.push_back(labels[i]);
     }
   }
-  const double m = static_cast<double>(known_idx.size());
-  return PhiCoefficient(m * (m - 1.0), connected, same_label_pairs,
-                        connected_same);
+  // Same-label ordered pairs Σ_c m_c (m_c − 1), over runs of sorted labels.
+  std::sort(population_labels.begin(), population_labels.end());
+  if (!population_labels.empty() && population_labels.front() < 0) {
+    return Status::OutOfRange("labels must be non-negative");
+  }
+  const int64_t m = static_cast<int64_t>(population_labels.size());
+  int64_t same_label = 0;
+  for (int64_t begin = 0, end = 0; begin < m; begin = end) {
+    while (end < m && population_labels[end] == population_labels[begin]) {
+      ++end;
+    }
+    same_label += (end - begin) * (end - begin - 1);
+  }
+
+  // stamp[y] == level iff y is already in the frontier being built; every
+  // (row, hop) gets a fresh level, so the array is never cleared.
+  std::vector<int64_t> stamp(n, -1);
+  int64_t level = 0;
+  std::vector<int64_t> frontier, next;
+  std::vector<PatternPairCounts> counts;
+  for (const DirectedPattern& p : patterns) {
+    PatternPairCounts c;
+    c.pairs = m * (m - 1);
+    c.same_label = same_label;
+    for (int64_t u = 0; u < n; ++u) {
+      if (!known[u]) continue;
+      // The word G_{h0}·G_{h1}·… reaches from u through h0 first.
+      frontier.assign(1, u);
+      for (Hop hop : p.word) {
+        next.clear();
+        for (int64_t x : frontier) {
+          for (int64_t y : hop == Hop::kOut ? graph.OutNeighbors(x)
+                                            : graph.InNeighbors(x)) {
+            if (stamp[y] == level) continue;
+            stamp[y] = level;
+            next.push_back(y);
+          }
+        }
+        ++level;
+        std::swap(frontier, next);
+      }
+      for (int64_t v : frontier) {
+        if (v == u || !known[v]) continue;
+        ++c.connected;
+        c.connected_same += labels[u] == labels[v];
+      }
+    }
+    counts.push_back(c);
+  }
+  return counts;
 }
 
 Result<std::vector<DirectedPattern>> SelectPatternsByCorrelation(
     const Digraph& graph, const std::vector<int64_t>& labels,
-    const std::vector<int64_t>& known_idx, int max_order, int keep,
-    const AmudOptions& options) {
+    const std::vector<int64_t>& known_idx, int max_order, int keep) {
   if (max_order < 1) return Status::InvalidArgument("max_order must be >= 1");
   if (keep < 1) return Status::InvalidArgument("keep must be >= 1");
   if (known_idx.size() < 2) {
     return Status::FailedPrecondition(
         "DP selection needs at least two labeled nodes");
   }
-  PatternSet patterns(graph.AdjacencyMatrix(), /*conv_r=*/0.5,
-                      /*self_loops=*/false);
+  const std::vector<DirectedPattern> patterns = EnumeratePatterns(max_order);
+  Result<std::vector<PatternPairCounts>> counts =
+      CountPatternPairs(graph, labels, patterns, &known_idx);
+  if (!counts.ok()) return counts.status();
   std::vector<std::pair<double, DirectedPattern>> scored;
-  for (const DirectedPattern& p : EnumeratePatterns(max_order)) {
-    const double r = PatternLabelCorrelationMasked(
-        patterns.Reachability(p, options.max_row_nnz), labels, known_idx);
-    scored.emplace_back(r, p);
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    scored.emplace_back((*counts)[i].Correlation(), patterns[i]);
   }
   std::stable_sort(scored.begin(), scored.end(),
                    [](const auto& a, const auto& b) {
@@ -131,37 +126,6 @@ Result<std::vector<DirectedPattern>> SelectPatternsByCorrelation(
   const int count = std::min<int>(keep, static_cast<int>(scored.size()));
   for (int i = 0; i < count; ++i) selected.push_back(scored[i].second);
   return selected;
-}
-
-double PatternLabelCorrelationSampled(const Digraph& graph,
-                                      const DirectedPattern& pattern,
-                                      const std::vector<int64_t>& labels,
-                                      int64_t num_samples, Rng* rng) {
-  ADPA_CHECK(rng != nullptr);
-  ADPA_CHECK_GT(num_samples, 0);
-  const int64_t n = graph.num_nodes();
-  ADPA_CHECK_GE(n, 2);
-
-  // Reachability probe: walk the pattern word from u collecting the frontier
-  // (bounded breadth via sets) and test membership of v. For sampling we
-  // instead materialize per-source frontiers lazily.
-  PatternSet patterns(graph.AdjacencyMatrix(), /*conv_r=*/0.5,
-                      /*self_loops=*/false);
-  const SparseMatrix reach = patterns.Reachability(pattern);
-
-  double connected = 0.0, same = 0.0, connected_same = 0.0;
-  for (int64_t s = 0; s < num_samples; ++s) {
-    const int64_t u = rng->UniformInt(n);
-    int64_t v = rng->UniformInt(n - 1);
-    if (v >= u) ++v;  // uniform over ordered pairs with u != v
-    const bool is_connected = reach.At(u, v) != 0.0f;
-    const bool is_same = labels[u] == labels[v];
-    connected += is_connected;
-    same += is_same;
-    connected_same += is_connected && is_same;
-  }
-  return PhiCoefficient(static_cast<double>(num_samples), connected, same,
-                        connected_same);
 }
 
 std::string AmudReport::ToString() const {
@@ -179,8 +143,7 @@ std::string AmudReport::ToString() const {
 
 Result<AmudReport> ComputeAmud(const Digraph& graph,
                                const std::vector<int64_t>& labels,
-                               int64_t num_classes,
-                               const AmudOptions& options) {
+                               int64_t num_classes) {
   if (graph.num_nodes() < 2) {
     return Status::InvalidArgument("AMUD requires at least two nodes");
   }
@@ -196,24 +159,21 @@ Result<AmudReport> ComputeAmud(const Digraph& graph,
     return Status::FailedPrecondition("AMUD requires a non-empty edge set");
   }
 
-  PatternSet patterns(graph.AdjacencyMatrix(), /*conv_r=*/0.5,
-                      /*self_loops=*/false);
+  // First-order operators, reported for inspection / DP selection; the
+  // second-order ones drive the Eq. (8) score.
+  std::vector<DirectedPattern> patterns = {DirectedPattern{{Hop::kOut}},
+                                           DirectedPattern{{Hop::kIn}}};
+  for (const DirectedPattern& p : SecondOrderPatterns()) patterns.push_back(p);
+  Result<std::vector<PatternPairCounts>> counts =
+      CountPatternPairs(graph, labels, patterns);
+  if (!counts.ok()) return counts.status();
 
   AmudReport report;
-  // First-order operators, reported for inspection / DP selection.
-  for (Hop hop : {Hop::kOut, Hop::kIn}) {
-    DirectedPattern p{{hop}};
-    const double r = PatternLabelCorrelation(
-        patterns.Reachability(p, options.max_row_nnz), labels);
-    report.correlations.push_back({p, r, r * r});
-  }
-  // Second-order operators drive the Eq. (8) score.
   std::vector<double> second_order_r2;
-  for (const DirectedPattern& p : SecondOrderPatterns()) {
-    const double r = PatternLabelCorrelation(
-        patterns.Reachability(p, options.max_row_nnz), labels);
-    report.correlations.push_back({p, r, r * r});
-    second_order_r2.push_back(r * r);
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    const double r = (*counts)[i].Correlation();
+    report.correlations.push_back({patterns[i], r, r * r});
+    if (patterns[i].order() == 2) second_order_r2.push_back(r * r);
   }
 
   // Eq. (8): S = α sqrt(Σ_{i≠j} ||R²_i − R²_j||² / C(4,2)), α = 1 / max R².
@@ -233,17 +193,16 @@ Result<AmudReport> ComputeAmud(const Digraph& graph,
     }
   }
   constexpr double kPairCount = 6.0;  // C(4, 2)
-  constexpr double kMinSignal = 1e-5;
-  if (max_r2 < kMinSignal) {
+  const double pairs = static_cast<double>(counts->front().pairs);
+  if (pairs * max_r2 < kNoSignalChiSquare) {
     // No second-order operator correlates with the profiles at all:
     // directed topology carries no signal, recommend undirected modeling.
     report.score = 0.0;
   } else {
     report.score = std::sqrt(disparity / kPairCount) / max_r2;
   }
-  report.decision = report.score > options.threshold
-                        ? AmudDecision::kDirected
-                        : AmudDecision::kUndirected;
+  report.decision = report.score > kAmudThreshold ? AmudDecision::kDirected
+                                                  : AmudDecision::kUndirected;
   return report;
 }
 

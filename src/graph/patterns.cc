@@ -53,8 +53,6 @@ PatternSet::PatternSet(const SparseMatrix& adjacency, double conv_r,
       self_loops ? AddSelfLoops(adjacency) : adjacency;
   a_norm_ = NormalizeConvolution(base, conv_r);
   at_norm_ = NormalizeConvolution(base.Transposed(), conv_r);
-  a_raw_ = adjacency.Binarized();
-  at_raw_ = a_raw_.Transposed();
 }
 
 Matrix PatternSet::ApplyHop(Hop hop, const Matrix& x) const {
@@ -98,20 +96,6 @@ void PatternSet::ApplyStep(const std::vector<DirectedPattern>& patterns,
                   }
                 }
               });
-}
-
-SparseMatrix PatternSet::Reachability(const DirectedPattern& pattern,
-                                      int64_t max_row_nnz) const {
-  ADPA_CHECK_GE(pattern.order(), 1);
-  const auto hop_matrix = [this](Hop hop) -> const SparseMatrix& {
-    return hop == Hop::kOut ? a_raw_ : at_raw_;
-  };
-  SparseMatrix result = hop_matrix(pattern.word.back());
-  for (auto it = std::next(pattern.word.rbegin()); it != pattern.word.rend();
-       ++it) {
-    result = hop_matrix(*it).MultiplySparse(result, max_row_nnz).Binarized();
-  }
-  return result;
 }
 
 }  // namespace adpa

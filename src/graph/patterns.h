@@ -39,9 +39,7 @@ std::vector<DirectedPattern> SecondOrderPatterns();
 
 /// Precomputed single-hop operators for a digraph, from which any DP is
 /// applied lazily as a chain of SpMM calls — products of sparse operators
-/// are never materialized for feature propagation (complexity O(k·K·m·f),
-/// Sec. IV-D). For AMUD, boolean reachability of a pattern *is* materialized
-/// (sparse-sparse product with a density guard).
+/// are never materialized (complexity O(k·K·m·f), Sec. IV-D).
 class PatternSet {
  public:
   /// `conv_r` selects the Eq. (1) normalization exponent applied to A and
@@ -75,22 +73,12 @@ class PatternSet {
   void ApplyStep(const std::vector<DirectedPattern>& patterns,
                  std::vector<Matrix>* states) const;
 
-  /// Boolean reachability matrix of the pattern over the *raw* adjacency
-  /// (no self loops, unnormalized): entry (u,v)=1 iff v is reachable from u
-  /// through the pattern's hop sequence. `max_row_nnz > 0` caps row fill-in.
-  SparseMatrix Reachability(const DirectedPattern& pattern,
-                            int64_t max_row_nnz = 0) const;
-
   const SparseMatrix& normalized_out() const { return a_norm_; }
   const SparseMatrix& normalized_in() const { return at_norm_; }
-  const SparseMatrix& raw_out() const { return a_raw_; }
-  const SparseMatrix& raw_in() const { return at_raw_; }
 
  private:
   SparseMatrix a_norm_;   // normalized Â
   SparseMatrix at_norm_;  // normalized Âᵀ
-  SparseMatrix a_raw_;    // binarized A (no self loops)
-  SparseMatrix at_raw_;   // binarized Aᵀ
 };
 
 }  // namespace adpa

@@ -97,9 +97,10 @@ class SparseMatrix {
   /// Returns the explicit transpose in CSR form.
   SparseMatrix Transposed() const;
 
-  /// Sparse-sparse product this * other (used to materialize 2-order DP
-  /// reachability for AMUD). `max_row_nnz`, if positive, caps the per-row
-  /// fill-in by keeping the largest-magnitude entries (density guard).
+  /// Sparse-sparse product this * other (the 2-hop proximity operators of
+  /// DiGCN and the extended baselines). `max_row_nnz`, if positive, caps
+  /// the per-row fill-in by keeping the largest-magnitude entries (density
+  /// guard).
   SparseMatrix MultiplySparse(const SparseMatrix& other,
                               int64_t max_row_nnz = 0) const;
 

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "src/amud/amud.h"
 #include "src/core/random.h"
 #include "src/graph/digraph.h"
 #include "src/graph/patterns.h"
+#include "tests/pattern_oracle.h"
 
 namespace adpa {
 namespace {
@@ -137,40 +139,52 @@ TEST(PatternTest, ApplyMatchesDenseOperatorProduct) {
 TEST(PatternTest, ReachabilityMatchesHandComputedToy) {
   // Fig. 3-style: 0 -> 1, 2 -> 1 (co-target through node 1).
   Digraph g = Digraph::CreateOrDie(3, {{0, 1}, {2, 1}});
-  PatternSet patterns(g.AdjacencyMatrix(), 0.5, false);
   // A*AT: u and v reachable iff they share an out-neighbor.
-  SparseMatrix aat =
-      patterns.Reachability(DirectedPattern{{Hop::kOut, Hop::kIn}});
-  EXPECT_FLOAT_EQ(aat.At(0, 2), 1.0f);
-  EXPECT_FLOAT_EQ(aat.At(2, 0), 1.0f);
-  EXPECT_FLOAT_EQ(aat.At(0, 0), 1.0f);  // shares out-neighbor with itself
-  EXPECT_FLOAT_EQ(aat.At(0, 1), 0.0f);
+  const DirectedPattern aat{{Hop::kOut, Hop::kIn}};
+  const SparseMatrix reach = oracle::Reachability(g, aat);
+  EXPECT_FLOAT_EQ(reach.At(0, 2), 1.0f);
+  EXPECT_FLOAT_EQ(reach.At(2, 0), 1.0f);
+  EXPECT_FLOAT_EQ(reach.At(0, 0), 1.0f);  // shares out-neighbor with itself
+  EXPECT_FLOAT_EQ(reach.At(0, 1), 0.0f);
   // A*A: two-step forward walks; none exist here.
-  SparseMatrix aa =
-      patterns.Reachability(DirectedPattern{{Hop::kOut, Hop::kOut}});
-  EXPECT_EQ(aa.nnz(), 0);
+  const DirectedPattern aa{{Hop::kOut, Hop::kOut}};
+  const std::vector<PatternPairCounts> counts =
+      std::move(CountPatternPairs(g, {0, 1, 0}, {aat, aa})).value();
+  // The streamed counts see the pairs (0,2) and (2,0) only.
+  EXPECT_EQ(counts[0].connected, 2);
+  EXPECT_EQ(counts[0].connected_same, 2);
+  EXPECT_EQ(counts[1].connected, 0);
+  EXPECT_EQ(counts[0].pairs, 6);
 }
 
 TEST(PatternTest, ReachabilityOnCycleWrapsAround) {
   // 0 -> 1 -> 2 -> 0: A*A reaches two steps ahead.
   Digraph g = Digraph::CreateOrDie(3, {{0, 1}, {1, 2}, {2, 0}});
-  PatternSet patterns(g.AdjacencyMatrix(), 0.5, false);
-  SparseMatrix aa =
-      patterns.Reachability(DirectedPattern{{Hop::kOut, Hop::kOut}});
-  EXPECT_FLOAT_EQ(aa.At(0, 2), 1.0f);
-  EXPECT_FLOAT_EQ(aa.At(1, 0), 1.0f);
-  EXPECT_FLOAT_EQ(aa.At(2, 1), 1.0f);
-  EXPECT_EQ(aa.nnz(), 3);
+  const DirectedPattern aa{{Hop::kOut, Hop::kOut}};
+  const SparseMatrix reach = oracle::Reachability(g, aa);
+  EXPECT_FLOAT_EQ(reach.At(0, 2), 1.0f);
+  EXPECT_FLOAT_EQ(reach.At(1, 0), 1.0f);
+  EXPECT_FLOAT_EQ(reach.At(2, 1), 1.0f);
+  EXPECT_EQ(reach.nnz(), 3);
+  // With labels {0, 1, 0} only the pair (0, 2) shares a label.
+  const PatternPairCounts counts =
+      std::move(CountPatternPairs(g, {0, 1, 0}, {aa})).value()[0];
+  EXPECT_EQ(counts.connected, 3);
+  EXPECT_EQ(counts.connected_same, 1);
 }
 
 TEST(PatternTest, UndirectedGraphDegeneratesGracefully) {
   // On a symmetric graph, A and AT reachabilities coincide.
   Digraph g = Digraph::CreateOrDie(4, {{0, 1}, {1, 0}, {1, 2}, {2, 1},
                                        {2, 3}, {3, 2}});
-  PatternSet patterns(g.AdjacencyMatrix(), 0.5, false);
-  SparseMatrix out = patterns.Reachability(DirectedPattern{{Hop::kOut}});
-  SparseMatrix in = patterns.Reachability(DirectedPattern{{Hop::kIn}});
-  EXPECT_TRUE(AllClose(out.ToDense(), in.ToDense()));
+  const DirectedPattern out{{Hop::kOut}};
+  const DirectedPattern in{{Hop::kIn}};
+  EXPECT_TRUE(AllClose(oracle::Reachability(g, out).ToDense(),
+                       oracle::Reachability(g, in).ToDense()));
+  const std::vector<PatternPairCounts> counts =
+      std::move(CountPatternPairs(g, {0, 0, 1, 1}, {out, in})).value();
+  EXPECT_EQ(counts[0], counts[1]);
+  EXPECT_EQ(counts[0].connected, 6);
 }
 
 }  // namespace

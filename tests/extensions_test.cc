@@ -14,6 +14,7 @@
 #include "src/models/label_propagation.h"
 #include "src/train/grid_search.h"
 #include "src/train/trainer.h"
+#include "tests/pattern_oracle.h"
 
 namespace adpa {
 namespace {
@@ -278,13 +279,16 @@ TEST(LabelPropagationTest, StrongOnHomophilyWeakOnRandomTopology) {
 
 TEST(DpSelectionTest, MaskedCorrelationMatchesFullOnCompleteMask) {
   Dataset ds = SmallTask(9);
-  PatternSet patterns(ds.graph.AdjacencyMatrix(), 0.5, false);
   std::vector<int64_t> all_nodes;
   for (int64_t i = 0; i < ds.num_nodes(); ++i) all_nodes.push_back(i);
-  for (const DirectedPattern& p : SecondOrderPatterns()) {
-    const SparseMatrix reach = patterns.Reachability(p);
-    EXPECT_NEAR(PatternLabelCorrelationMasked(reach, ds.labels, all_nodes),
-                PatternLabelCorrelation(reach, ds.labels), 1e-12);
+  const std::vector<DirectedPattern> patterns = EnumeratePatterns(2);
+  const std::vector<PatternPairCounts> masked =
+      std::move(CountPatternPairs(ds.graph, ds.labels, patterns, &all_nodes))
+          .value();
+  const std::vector<PatternPairCounts> full =
+      std::move(CountPatternPairs(ds.graph, ds.labels, patterns)).value();
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    EXPECT_EQ(masked[i], full[i]) << patterns[i].Name();
   }
 }
 
@@ -320,6 +324,31 @@ TEST(DpSelectionTest, ValidatesArguments) {
                                            ds.train_idx, 2, 0).ok());
   EXPECT_FALSE(
       SelectPatternsByCorrelation(ds.graph, ds.labels, {0}, 2, 2).ok());
+  // Bad inputs are errors, not aborts or out-of-bounds writes.
+  const std::vector<int64_t> short_labels(ds.labels.begin(),
+                                          ds.labels.end() - 1);
+  EXPECT_EQ(SelectPatternsByCorrelation(ds.graph, short_labels, ds.train_idx,
+                                        2, 2)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SelectPatternsByCorrelation(ds.graph, ds.labels,
+                                        {0, ds.num_nodes()}, 2, 2)
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(
+      SelectPatternsByCorrelation(ds.graph, ds.labels, {3, 5, 3}, 2, 2)
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
+  std::vector<int64_t> negative = ds.labels;
+  negative[ds.train_idx[0]] = -1;
+  EXPECT_EQ(SelectPatternsByCorrelation(ds.graph, negative, ds.train_idx, 2,
+                                        2)
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(DpSelectionTest, AdpaWithSelectionStillTrains) {
