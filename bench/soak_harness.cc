@@ -46,6 +46,7 @@
 #include <chrono>
 
 #include "src/core/flags.h"
+#include "src/core/random.h"
 #include "src/core/status.h"
 #include "src/net/framing.h"
 #include "src/net/socket.h"
@@ -56,27 +57,20 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-uint64_t SplitMix64Next(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 /// Query pool: pattern -> node list, a pure function of the pattern index
 /// so record and soak phases agree across seeds and processes.
 std::vector<int64_t> PatternNodes(int64_t pattern, int64_t num_nodes,
                                   int64_t max_query_nodes) {
   uint64_t state = 0xADBA5EEDULL * static_cast<uint64_t>(pattern + 1);
-  (void)SplitMix64Next(&state);
+  (void)SplitMix64(&state);
   const int64_t count =
-      1 + static_cast<int64_t>(SplitMix64Next(&state) %
+      1 + static_cast<int64_t>(SplitMix64(&state) %
                                static_cast<uint64_t>(max_query_nodes));
   std::vector<int64_t> nodes;
   nodes.reserve(static_cast<size_t>(count));
   for (int64_t i = 0; i < count; ++i) {
     nodes.push_back(static_cast<int64_t>(
-        SplitMix64Next(&state) % static_cast<uint64_t>(num_nodes)));
+        SplitMix64(&state) % static_cast<uint64_t>(num_nodes)));
   }
   return nodes;
 }
@@ -203,7 +197,7 @@ void RunWorker(const SoakConfig& config, int64_t worker_index,
                WorkerStats* stats) {
   uint64_t state = config.seed ^ (0x517cc1b727220a95ULL *
                                   static_cast<uint64_t>(worker_index + 1));
-  (void)SplitMix64Next(&state);
+  (void)SplitMix64(&state);
   const auto deadline = Clock::now() + std::chrono::seconds(config.seconds);
   // Worker-unique, strictly increasing ids: the per-connection order
   // invariant rides on these.
@@ -233,7 +227,7 @@ void RunWorker(const SoakConfig& config, int64_t worker_index,
     }
 
     // One burst: a few pipelined requests, occasionally a reload.
-    const uint64_t burst = 1 + SplitMix64Next(&state) % 4;
+    const uint64_t burst = 1 + SplitMix64(&state) % 4;
     bool send_failed = false;
     for (uint64_t b = 0; b < burst && !send_failed; ++b) {
       const int64_t id = next_id++;
@@ -241,7 +235,7 @@ void RunWorker(const SoakConfig& config, int64_t worker_index,
       entry.id = id;
       const bool reload =
           !config.reload_path.empty() &&
-          SplitMix64Next(&state) % static_cast<uint64_t>(config.reload_every) ==
+          SplitMix64(&state) % static_cast<uint64_t>(config.reload_every) ==
               0;
       std::string line;
       if (reload) {
@@ -251,7 +245,7 @@ void RunWorker(const SoakConfig& config, int64_t worker_index,
         ++stats->sent_reloads;
       } else {
         entry.pattern = static_cast<int64_t>(
-            SplitMix64Next(&state) % static_cast<uint64_t>(config.patterns));
+            SplitMix64(&state) % static_cast<uint64_t>(config.patterns));
         line = FormatQuery(
             id, PatternNodes(entry.pattern, config.num_nodes,
                              config.max_query_nodes));

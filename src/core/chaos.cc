@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/core/hash.h"
+#include "src/core/random.h"
+
 namespace adpa::failpoint {
 namespace {
 
@@ -12,28 +15,11 @@ Status BadSpec(const std::string& what) {
                                  " (want <seed>:<intensity>[:<prefix>,...])");
 }
 
-/// splitmix64 (Steele et al. 2014) — the same generator core/random.h uses
-/// to expand seeds; duplicated here so a schedule is a pure function of the
-/// spec with no coupling to Rng's stream layout.
-uint64_t SplitMix64Next(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-/// Uniform double in [0, 1) from the top 53 bits of one draw.
+/// Uniform double in [0, 1) from the top 53 bits of one draw. It draws from
+/// the free SplitMix64, not from an Rng, so a schedule is a pure function
+/// of the spec with no coupling to Rng's stream layout.
 double UnitDraw(uint64_t* state) {
-  return static_cast<double>(SplitMix64Next(state) >> 11) * 0x1.0p-53;
-}
-
-uint64_t Fnv1a64(const std::string& text) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+  return static_cast<double>(SplitMix64(state) >> 11) * 0x1.0p-53;
 }
 
 bool MatchesPrefixes(const std::string& name,
@@ -139,8 +125,8 @@ Result<ChaosSchedule> BuildChaosSchedule(const ChaosSpec& spec) {
 
     // Per-point stream keyed by (seed, name): the point's config never
     // depends on catalog order or on which other points are eligible.
-    uint64_t state = spec.seed ^ Fnv1a64(name);
-    (void)SplitMix64Next(&state);  // decorrelate weak seed^hash mixes
+    uint64_t state = spec.seed ^ Fnv1a64(name.data(), name.size());
+    (void)SplitMix64(&state);  // decorrelate weak seed^hash mixes
 
     if (UnitDraw(&state) >= spec.intensity) continue;
 
@@ -151,10 +137,10 @@ Result<ChaosSchedule> BuildChaosSchedule(const ChaosSpec& spec) {
     const double action_draw = UnitDraw(&state);
     std::string action;
     if (!is_short_point && action_draw < 0.25) {
-      const uint64_t delay_ms = 1 + SplitMix64Next(&state) % 9;
+      const uint64_t delay_ms = 1 + SplitMix64(&state) % 9;
       action = "delay(" + std::to_string(delay_ms) + ")";
     } else {
-      (void)SplitMix64Next(&state);  // keep the draw count action-invariant
+      (void)SplitMix64(&state);  // keep the draw count action-invariant
       action = "error(chaos)";
     }
 
@@ -165,7 +151,7 @@ Result<ChaosSchedule> BuildChaosSchedule(const ChaosSpec& spec) {
     // instead of a certainty.
     const uint64_t span =
         4 + static_cast<uint64_t>(60.0 * (1.0 - spec.intensity));
-    const uint64_t one_in = 2 + SplitMix64Next(&state) % span;
+    const uint64_t one_in = 2 + SplitMix64(&state) % span;
     schedule.points.push_back(
         {name, action + "@1in" + std::to_string(one_in)});
   }

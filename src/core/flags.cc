@@ -36,7 +36,7 @@ int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
   if (it == values_.end()) return default_value;
   char* end = nullptr;
   const int64_t parsed = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  if (it->second.empty() || end == nullptr || *end != '\0') {
     std::cerr << "Warning: flag --" << name << "=" << it->second
               << " is not an integer; using default " << default_value << "\n";
     return default_value;
@@ -49,7 +49,7 @@ double Flags::GetDouble(const std::string& name, double default_value) const {
   if (it == values_.end()) return default_value;
   char* end = nullptr;
   const double parsed = std::strtod(it->second.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
+  if (it->second.empty() || end == nullptr || *end != '\0') {
     std::cerr << "Warning: flag --" << name << "=" << it->second
               << " is not a number; using default " << default_value << "\n";
     return default_value;

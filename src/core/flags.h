@@ -14,8 +14,8 @@ class Flags {
   /// Parses argv. Returns false and prints a diagnostic on malformed input.
   bool Parse(int argc, char** argv);
 
-  /// Typed getters with defaults. Malformed numeric values fall back to the
-  /// default after printing a warning.
+  /// Typed getters with defaults. Malformed numeric values, an empty one
+  /// (`--lr=`) included, fall back to the default after printing a warning.
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
   int64_t GetInt(const std::string& name, int64_t default_value) const;

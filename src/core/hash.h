@@ -1,7 +1,6 @@
 #pragma once
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace adpa {
 
@@ -39,11 +38,6 @@ class Fnv1aHasher {
   template <typename T>
   void UpdateValue(const T& value) {
     Update(&value, sizeof(value));
-  }
-
-  void UpdateString(const std::string& text) {
-    UpdateValue<uint64_t>(text.size());
-    Update(text.data(), text.size());
   }
 
   uint64_t Digest() const { return state_; }

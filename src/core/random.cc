@@ -6,7 +6,6 @@
 #include "src/core/logging.h"
 
 namespace adpa {
-namespace {
 
 uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
@@ -14,6 +13,8 @@ uint64_t SplitMix64(uint64_t* state) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
 }
+
+namespace {
 
 uint64_t RotL(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 

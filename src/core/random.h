@@ -4,6 +4,13 @@
 
 namespace adpa {
 
+/// splitmix64 (Steele et al. 2014): advances `*state` by the golden-ratio
+/// increment and returns the mixed word. Rng expands its seed with it; the
+/// chaos schedule, the reservoir sampler and the soak tools draw from it
+/// directly, so their streams are pure functions of a seed and independent
+/// of Rng's stream layout.
+uint64_t SplitMix64(uint64_t* state);
+
 /// The complete internal state of an Rng: the four xoshiro256** words plus
 /// the Box-Muller cache. Restoring it resumes the exact draw sequence —
 /// the training-resume path (src/train/trainer.h) persists this so a

@@ -18,31 +18,6 @@ std::string FormatMeanStd(double mean, double stddev, int precision) {
   return FormatDouble(mean, precision) + "±" + FormatDouble(stddev, precision);
 }
 
-std::vector<std::string> SplitString(const std::string& text, char delimiter) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (char c : text) {
-    if (c == delimiter) {
-      parts.push_back(current);
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  parts.push_back(current);
-  return parts;
-}
-
-std::string Join(const std::vector<std::string>& parts,
-                 const std::string& delimiter) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += delimiter;
-    out += parts[i];
-  }
-  return out;
-}
-
 namespace {
 
 // Display width in terminal columns. The tables use "±" (2 bytes in UTF-8,

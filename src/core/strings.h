@@ -11,13 +11,6 @@ std::string FormatDouble(double value, int precision = 4);
 /// matching the paper's tables (values in percent).
 std::string FormatMeanStd(double mean, double stddev, int precision = 1);
 
-/// Splits `text` on `delimiter`, keeping empty fields.
-std::vector<std::string> SplitString(const std::string& text, char delimiter);
-
-/// Joins `parts` with `delimiter`.
-std::string Join(const std::vector<std::string>& parts,
-                 const std::string& delimiter);
-
 /// Left-pads or right-pads `text` with spaces to `width` characters.
 std::string PadLeft(const std::string& text, int width);
 std::string PadRight(const std::string& text, int width);

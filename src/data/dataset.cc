@@ -34,6 +34,9 @@ Status Dataset::Validate() const {
   if (train_idx.empty()) {
     return Status::FailedPrecondition("train split is empty");
   }
+  if (val_idx.empty()) {
+    return Status::FailedPrecondition("validation split is empty");
+  }
   if (test_idx.empty()) {
     return Status::FailedPrecondition("test split is empty");
   }

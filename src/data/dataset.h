@@ -24,8 +24,8 @@ struct Dataset {
   int64_t num_edges() const { return graph.num_edges(); }
   int64_t feature_dim() const { return features.cols(); }
 
-  /// Structural validation: shapes agree, labels in range, splits disjoint
-  /// and in range. Returns the first violation found.
+  /// Structural validation: shapes agree, labels in range, splits disjoint,
+  /// in range and non-empty. Returns the first violation found.
   ADPA_NODISCARD Status Validate() const;
 
   /// Copy of this dataset with the graph replaced by its undirected

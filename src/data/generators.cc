@@ -37,27 +37,6 @@ Matrix CyclicTransition(int64_t num_classes, double forward_prob,
   return m;
 }
 
-Matrix ShiftMixtureTransition(int64_t num_classes,
-                              const std::vector<ClassShift>& shifts) {
-  ADPA_CHECK_GE(num_classes, 2);
-  double total = 0.0;
-  for (const ClassShift& s : shifts) {
-    ADPA_CHECK_GE(s.weight, 0.0);
-    total += s.weight;
-  }
-  ADPA_CHECK_LE(total, 1.0 + 1e-9);
-  const double rest = (1.0 - total) / static_cast<double>(num_classes);
-  Matrix m(num_classes, num_classes, static_cast<float>(rest));
-  for (int64_t c = 0; c < num_classes; ++c) {
-    for (const ClassShift& s : shifts) {
-      const int64_t dst =
-          ((c + s.shift) % num_classes + num_classes) % num_classes;
-      m.At(c, dst) += static_cast<float>(s.weight);
-    }
-  }
-  return m;
-}
-
 Matrix SymmetricHeterophilousTransition(int64_t num_classes,
                                         double self_prob) {
   ADPA_CHECK_GE(num_classes, 2);

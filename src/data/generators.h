@@ -50,19 +50,6 @@ Matrix HomophilousTransition(int64_t num_classes, double in_class_prob);
 Matrix CyclicTransition(int64_t num_classes, double forward_prob,
                         double self_prob = 0.0);
 
-/// General asymmetric transition built from a mixture of class shifts:
-/// each (shift, weight) entry puts `weight` mass on dst = (src + shift)
-/// mod C. Models messier real-world directed structure than a pure cycle
-/// (web pages point at several "later" page types, not exactly one).
-/// Remaining mass (1 - Σ weights) is spread uniformly. Weights must be
-/// non-negative and sum to at most 1.
-struct ClassShift {
-  int64_t shift = 1;
-  double weight = 0.5;
-};
-Matrix ShiftMixtureTransition(int64_t num_classes,
-                              const std::vector<ClassShift>& shifts);
-
 /// Symmetric heterophilous transition: uniform off-diagonal with
 /// `self_prob` on the diagonal. Combined with high `reciprocal_prob`, this
 /// models Actor/Amazon-rating style graphs: heterophilous by edge homophily

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "src/core/logging.h"
-
 namespace adpa {
 
 ComponentLabeling WeaklyConnectedComponents(const Digraph& graph) {
@@ -85,44 +83,6 @@ ComponentLabeling StronglyConnectedComponents(const Digraph& graph) {
     }
   }
   return labeling;
-}
-
-std::vector<int64_t> BfsDistances(const Digraph& graph,
-                                  const std::vector<int64_t>& sources,
-                                  int64_t max_hops) {
-  std::vector<int64_t> distance(graph.num_nodes(), -1);
-  std::deque<int64_t> queue;
-  for (int64_t s : sources) {
-    ADPA_CHECK_GE(s, 0);
-    ADPA_CHECK_LT(s, graph.num_nodes());
-    if (distance[s] == -1) {
-      distance[s] = 0;
-      queue.push_back(s);
-    }
-  }
-  while (!queue.empty()) {
-    const int64_t u = queue.front();
-    queue.pop_front();
-    if (max_hops >= 0 && distance[u] >= max_hops) continue;
-    for (int64_t v : graph.OutNeighbors(u)) {
-      if (distance[v] == -1) {
-        distance[v] = distance[u] + 1;
-        queue.push_back(v);
-      }
-    }
-  }
-  return distance;
-}
-
-std::vector<int64_t> KHopOutNeighborhood(const Digraph& graph, int64_t node,
-                                         int64_t hops) {
-  ADPA_CHECK_GE(hops, 0);
-  const std::vector<int64_t> distance = BfsDistances(graph, {node}, hops);
-  std::vector<int64_t> neighborhood;
-  for (int64_t v = 0; v < graph.num_nodes(); ++v) {
-    if (v != node && distance[v] != -1) neighborhood.push_back(v);
-  }
-  return neighborhood;
 }
 
 DegreeStats ComputeDegreeStats(const Digraph& graph) {

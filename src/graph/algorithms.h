@@ -17,17 +17,6 @@ ComponentLabeling WeaklyConnectedComponents(const Digraph& graph);
 /// Strongly connected components via Tarjan's algorithm (iterative).
 ComponentLabeling StronglyConnectedComponents(const Digraph& graph);
 
-/// Multi-source BFS over out-edges: hop distance from the closest source,
-/// -1 if unreachable. `max_hops >= 0` truncates the search.
-std::vector<int64_t> BfsDistances(const Digraph& graph,
-                                  const std::vector<int64_t>& sources,
-                                  int64_t max_hops = -1);
-
-/// The set of nodes within exactly `hops` forward steps of `node`
-/// (the directed k-hop out-neighborhood, excluding the node itself).
-std::vector<int64_t> KHopOutNeighborhood(const Digraph& graph, int64_t node,
-                                         int64_t hops);
-
 /// Degree summary used by dataset statistics and generator validation.
 struct DegreeStats {
   double mean_out = 0.0;

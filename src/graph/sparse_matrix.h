@@ -68,7 +68,6 @@ class SparseMatrix {
   const std::vector<int64_t>& row_ptr() const { return row_ptr_; }
   const std::vector<int32_t>& col_idx() const { return col_idx_; }
   const std::vector<float>& values() const { return values_; }
-  std::vector<float>& mutable_values() { return values_; }
 
   /// Value at (r, c); 0 if the entry is structurally absent. O(log row nnz).
   float At(int64_t r, int64_t c) const;

@@ -3,18 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/core/random.h"
+
 namespace adpa::serve {
-namespace {
-
-/// splitmix64: a full-period 64-bit mixer; one multiply-xor chain per draw.
-uint64_t NextRandom(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 void ServeMetrics::RecordRequest(double latency_ms, int64_t nodes_answered,
                                  bool ok) {
@@ -30,7 +21,7 @@ void ServeMetrics::RecordRequest(double latency_ms, int64_t nodes_answered,
   } else {
     // Algorithm R: sample n replaces a random reservoir slot with
     // probability capacity/n, keeping every sample equally likely to stay.
-    const uint64_t slot = NextRandom(&reservoir_state_) % latency_samples_;
+    const uint64_t slot = SplitMix64(&reservoir_state_) % latency_samples_;
     if (slot < kLatencyReservoirCapacity) {
       latencies_ms_[static_cast<size_t>(slot)] = latency_ms;
     }

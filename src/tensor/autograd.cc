@@ -199,23 +199,6 @@ Variable Relu(const Variable& a) {
   }));
 }
 
-Variable LeakyRelu(const Variable& a, float negative_slope) {
-  auto pa = a.node();
-  Matrix out = a.value();
-  out.ApplyFn([negative_slope](float v) {
-    return v > 0.0f ? v : negative_slope * v;
-  });
-  return Variable(
-      MakeOp("LeakyRelu", std::move(out), {pa}, [pa, negative_slope](const Matrix& g) {
-        if (!pa->requires_grad) return;
-        Matrix masked = g;
-        for (int64_t i = 0; i < masked.size(); ++i) {
-          if (pa->value.data()[i] <= 0.0f) masked.data()[i] *= negative_slope;
-        }
-        pa->AccumulateGrad(masked);
-      }));
-}
-
 Variable Sigmoid(const Variable& a) {
   auto pa = a.node();
   Matrix out = a.value();
@@ -231,22 +214,6 @@ Variable Sigmoid(const Variable& a) {
         }
         pa->AccumulateGrad(dx);
       }));
-}
-
-Variable Tanh(const Variable& a) {
-  auto pa = a.node();
-  Matrix out = a.value();
-  out.ApplyFn([](float v) { return std::tanh(v); });
-  Matrix saved = out;
-  return Variable(MakeOp("Tanh", std::move(out), {pa}, [pa, saved](const Matrix& g) {
-    if (!pa->requires_grad) return;
-    Matrix dx = g;
-    for (int64_t i = 0; i < dx.size(); ++i) {
-      const float t = saved.data()[i];
-      dx.data()[i] *= 1.0f - t * t;
-    }
-    pa->AccumulateGrad(dx);
-  }));
 }
 
 Matrix DropoutMask(int64_t rows, int64_t cols, float p, Rng* rng) {
@@ -408,32 +375,6 @@ Variable SoftmaxRows(const Variable& a) {
     }
     pa->AccumulateGrad(dx);
   }));
-}
-
-Variable LogSoftmaxRows(const Variable& a) {
-  auto pa = a.node();
-  Matrix softmax = adpa::SoftmaxRows(a.value());
-  Matrix out(a.rows(), a.cols());
-  for (int64_t i = 0; i < out.size(); ++i) {
-    out.data()[i] = std::log(std::max(softmax.data()[i], 1e-30f));
-  }
-  return Variable(
-      MakeOp("LogSoftmaxRows", std::move(out), {pa}, [pa, softmax](const Matrix& g) {
-        if (!pa->requires_grad) return;
-        // dL/dx_j = g_j - s_j * Σ_k g_k, per row.
-        Matrix dx(g.rows(), g.cols());
-        for (int64_t r = 0; r < g.rows(); ++r) {
-          const float* s = softmax.Row(r);
-          const float* g_row = g.Row(r);
-          double total = 0.0;
-          for (int64_t c = 0; c < g.cols(); ++c) total += g_row[c];
-          float* dx_row = dx.Row(r);
-          for (int64_t c = 0; c < g.cols(); ++c) {
-            dx_row[c] = g_row[c] - s[c] * static_cast<float>(total);
-          }
-        }
-        pa->AccumulateGrad(dx);
-      }));
 }
 
 Variable SumAll(const Variable& a) {

@@ -117,9 +117,7 @@ Variable SpMM(const SparseMatrix& a, const Variable& x);
 
 /// Activations.
 Variable Relu(const Variable& a);
-Variable LeakyRelu(const Variable& a, float negative_slope = 0.2f);
 Variable Sigmoid(const Variable& a);
-Variable Tanh(const Variable& a);
 
 /// Inverted dropout: at train time zeroes entries with probability `p` and
 /// rescales survivors by 1/(1-p); identity at eval time. The mask is drawn
@@ -155,9 +153,6 @@ Variable ScaleScalar(const Variable& a, const Variable& s);
 
 /// Row-wise softmax (used for attention weight normalization).
 Variable SoftmaxRows(const Variable& a);
-
-/// Row-wise log-softmax (numerically stable).
-Variable LogSoftmaxRows(const Variable& a);
 
 /// Sum of all entries, as a 1x1 variable.
 Variable SumAll(const Variable& a);

@@ -33,10 +33,10 @@ namespace ag {
 /// Equivalently, precompute the mask once with `DropoutMask` and apply it
 /// via `DropoutWithMask`; the registry checks both paths.
 ///
-/// Non-smooth points: Relu/LeakyRelu kink at 0, where the two-sided
-/// quotient straddles the kink and disagrees with either one-sided
-/// derivative. Registry inputs for those ops are pushed away from zero by
-/// a margin larger than the step (see AwayFromZero).
+/// Non-smooth points: Relu kinks at 0, where the two-sided quotient
+/// straddles the kink and disagrees with either one-sided derivative. Its
+/// registry input is pushed away from zero by a margin larger than the
+/// step (see AwayFromZero).
 struct GradcheckOptions {
   /// Maximum allowed relative error over all checked entries.
   double tolerance = 2e-2;
@@ -94,8 +94,8 @@ GradcheckReport RunGradcheck(const GradcheckCase& c);
 std::vector<GradcheckCase> OpGradcheckRegistry();
 
 /// Shifts every entry of `m` away from zero by `margin` (sign-preserving,
-/// sign(0) treated as +). Used to keep Relu/LeakyRelu inputs off their
-/// non-smooth point by more than the finite-difference step.
+/// sign(0) treated as +). Used to keep Relu inputs off their non-smooth
+/// point by more than the finite-difference step.
 Matrix AwayFromZero(Matrix m, float margin);
 
 }  // namespace ag

@@ -66,14 +66,6 @@ void Matrix::CheckFinite(const char* context) const {
   }
 }
 
-float& Matrix::CheckedAt(int64_t r, int64_t c) {
-  ADPA_CHECK_GE(r, 0);
-  ADPA_CHECK_LT(r, rows_);
-  ADPA_CHECK_GE(c, 0);
-  ADPA_CHECK_LT(c, cols_);
-  return At(r, c);
-}
-
 void Matrix::Fill(float value) {
   float* values = data_.data();
   ParallelFor(0, size(), kElementwiseGrain, [&](int64_t begin, int64_t end) {
@@ -139,19 +131,10 @@ void Matrix::AddScaledInPlace(const Matrix& other, float factor) {
   });
 }
 
-void Matrix::Apply(const std::function<float(float)>& fn) {
-  ApplyFn([&fn](float value) { return fn(value); });
-}
-
 float Matrix::SumAll() const {
   double total = 0.0;
   for (float value : data_) total += value;
   return static_cast<float>(total);
-}
-
-float Matrix::MaxAll() const {
-  ADPA_CHECK_GT(size(), 0);
-  return *std::max_element(data_.begin(), data_.end());
 }
 
 float Matrix::FrobeniusNorm() const {
@@ -169,15 +152,6 @@ Matrix Matrix::Transposed() const {
       for (int64_t r = 0; r < rows_; ++r) out_row[r] = At(r, c);
     }
   });
-  return out;
-}
-
-Matrix Matrix::SliceRows(int64_t begin, int64_t end) const {
-  ADPA_CHECK_GE(begin, 0);
-  ADPA_CHECK_LE(begin, end);
-  ADPA_CHECK_LE(end, rows_);
-  Matrix out(end - begin, cols_);
-  std::copy(Row(begin), Row(begin) + (end - begin) * cols_, out.data());
   return out;
 }
 
@@ -247,32 +221,6 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
 Matrix MatMul(const Matrix& a, const Matrix& b) {
   Matrix out;
   MatMulInto(a, b, &out);
-  return out;
-}
-
-Matrix MatMulSparseA(const Matrix& a, const Matrix& b) {
-  ADPA_CHECK_EQ(a.cols(), b.rows());
-  Matrix out(a.rows(), b.cols());
-  const int64_t n = a.rows(), k = a.cols(), m = b.cols();
-  if (n == 0 || k == 0 || m == 0) return out;
-  const simd::KernelTable& kernels = simd::Kernels();
-  ParallelFor(0, n, GrainForCost(2 * k * m),
-              [&](int64_t row_begin, int64_t row_end) {
-    std::vector<double> acc(m);
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      std::fill(acc.begin(), acc.end(), 0.0);
-      const float* a_row = a.Row(i);
-      for (int64_t p = 0; p < k; ++p) {
-        const float a_ip = a_row[p];
-        if (a_ip == 0.0f) continue;  // a zero term adds exactly nothing
-        kernels.axpy_wide(a_ip, b.Row(p), m, acc.data());
-      }
-      float* out_row = out.Row(i);
-      for (int64_t j = 0; j < m; ++j) {
-        out_row[j] = static_cast<float>(acc[j]);
-      }
-    }
-  });
   return out;
 }
 
@@ -471,12 +419,6 @@ void SliceColsInto(const Matrix& a, int64_t begin, int64_t end, Matrix* out) {
   for (int64_t r = 0; r < a.rows(); ++r) {
     kernels.copy(out->Row(r), a.Row(r) + begin, end - begin);
   }
-}
-
-Matrix GatherRows(const Matrix& a, const std::vector<int64_t>& rows) {
-  Matrix out;
-  GatherRowsInto(a, rows, &out);
-  return out;
 }
 
 void GatherRowsInto(const Matrix& a, const std::vector<int64_t>& rows,

@@ -1,6 +1,5 @@
 #pragma once
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -65,9 +64,6 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  /// Bounds-checked accessor (aborts on violation); hot paths use At().
-  float& CheckedAt(int64_t r, int64_t c);
-
   float* data() { return data_.data(); }
   const float* data() const { return data_.data(); }
   float* Row(int64_t r) {
@@ -96,13 +92,9 @@ class Matrix {
   void ScaleInPlace(float factor);
   void AddScaledInPlace(const Matrix& other, float factor);  // this += f*other
 
-  /// Applies `fn` to every entry in place. Pays one type-erased
-  /// std::function call per element; hot paths should use ApplyFn.
-  void Apply(const std::function<float(float)>& fn);
-
-  /// Templated Apply: `fn` is inlined into the elementwise loop (no
-  /// per-element call overhead) and the loop runs in parallel. `fn` must be
-  /// a pure elementwise map (no shared mutable state).
+  /// Applies `fn` to every entry in place: `fn` is inlined into the
+  /// elementwise loop and the loop runs in parallel. `fn` must be a pure
+  /// elementwise map (no shared mutable state).
   template <typename Fn>
   void ApplyFn(Fn&& fn) {
     float* values = data_.data();
@@ -118,14 +110,10 @@ class Matrix {
   /// combine order would depend on the chunk layout and break the
   /// "bitwise identical for any thread count" contract.
   float SumAll() const;
-  float MaxAll() const;
   float FrobeniusNorm() const;
 
   /// Returns the transpose.
   Matrix Transposed() const;
-
-  /// Returns rows [begin, end) as a new matrix.
-  Matrix SliceRows(int64_t begin, int64_t end) const;
 
   /// Human-readable rendering for debugging/tests.
   std::string ToString(int max_rows = 8, int max_cols = 8) const;
@@ -179,17 +167,6 @@ Matrix MatMul(const Matrix& a, const Matrix& b);
 /// `b`. Bitwise identical to MatMul.
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);
 
-/// out = a * b for an `a` with many exact zeros (masked/one-hot rows):
-/// row-major traversal that skips the inner loop whenever a(i,p) == 0.
-/// Keeps the historical one-double-chain-per-element accumulation at every
-/// level, so it is bitwise-identical to MatMul at the levels that share
-/// that discipline (portable, AVX2; a zero term contributes exactly nothing
-/// to a double accumulator). The AVX-512 MatMul accumulates float runs
-/// (simd::KernelTable::gemm_rows), so there the two agree to rel-error
-/// only. Prefer this routine only when `a` is sparse enough that branch
-/// savings beat the blocked kernel.
-Matrix MatMulSparseA(const Matrix& a, const Matrix& b);
-
 /// out = aᵀ * b, computed without materializing aᵀ.
 Matrix MatMulTransposeA(const Matrix& a, const Matrix& b);
 
@@ -236,11 +213,9 @@ Matrix SliceCols(const Matrix& a, int64_t begin, int64_t end);
 /// SliceCols writing into a caller-owned buffer (must not alias `a`).
 void SliceColsInto(const Matrix& a, int64_t begin, int64_t end, Matrix* out);
 
-/// Returns the given rows of `a`, in order (duplicates allowed). Every row
-/// index must lie in [0, a.rows()).
-Matrix GatherRows(const Matrix& a, const std::vector<int64_t>& rows);
-
-/// GatherRows writing into a caller-owned buffer (must not alias `a`).
+/// Writes the given rows of `a`, in order (duplicates allowed), into a
+/// caller-owned buffer (must not alias `a`). Every row index must lie in
+/// [0, a.rows()).
 void GatherRowsInto(const Matrix& a, const std::vector<int64_t>& rows,
                     Matrix* out);
 

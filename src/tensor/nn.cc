@@ -14,11 +14,6 @@ Matrix GlorotUniform(int64_t fan_in, int64_t fan_out, Rng* rng) {
   return Matrix::RandomUniform(fan_in, fan_out, rng, -limit, limit);
 }
 
-Matrix KaimingNormal(int64_t fan_in, int64_t fan_out, Rng* rng) {
-  const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
-  return Matrix::RandomNormal(fan_in, fan_out, rng, 0.0f, stddev);
-}
-
 Linear::Linear(int64_t in_features, int64_t out_features, Rng* rng,
                bool bias) {
   ADPA_CHECK_GT(in_features, 0);
@@ -40,25 +35,9 @@ std::vector<ag::Variable> Linear::Parameters() const {
   return params;
 }
 
-ag::Variable ApplyActivation(const ag::Variable& x, Activation activation) {
-  switch (activation) {
-    case Activation::kRelu:
-      return ag::Relu(x);
-    case Activation::kLeakyRelu:
-      return ag::LeakyRelu(x);
-    case Activation::kSigmoid:
-      return ag::Sigmoid(x);
-    case Activation::kTanh:
-      return ag::Tanh(x);
-    case Activation::kNone:
-      return x;
-  }
-  return x;
-}
-
 Mlp::Mlp(int64_t in_features, int64_t hidden, int64_t out_features,
-         int num_layers, Rng* rng, float dropout, Activation activation)
-    : dropout_(dropout), activation_(activation) {
+         int num_layers, Rng* rng, float dropout)
+    : dropout_(dropout) {
   ADPA_CHECK_GE(num_layers, 1);
   if (num_layers == 1) {
     layers_.emplace_back(in_features, out_features, rng);
@@ -78,7 +57,7 @@ ag::Variable Mlp::Forward(const ag::Variable& x, bool training,
   for (size_t i = 0; i < layers_.size(); ++i) {
     h = layers_[i].Forward(h);
     if (i + 1 < layers_.size()) {
-      h = ApplyActivation(h, activation_);
+      h = ag::Relu(h);
       h = ag::Dropout(h, dropout_, training, rng);
     }
   }

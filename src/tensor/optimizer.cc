@@ -6,33 +6,9 @@
 
 namespace adpa {
 
-void Optimizer::ZeroGrad() {
-  for (ag::Variable& p : parameters_) p.ZeroGrad();
-}
-
-Sgd::Sgd(std::vector<ag::Variable> parameters, float learning_rate,
-         float weight_decay)
-    : Optimizer(std::move(parameters)),
-      learning_rate_(learning_rate),
-      weight_decay_(weight_decay) {}
-
-void Sgd::Step() {
-  for (ag::Variable& p : parameters_) {
-    if (p.grad().empty()) continue;
-    Matrix* value = p.mutable_value();
-    const Matrix& grad = p.grad();
-    ADPA_DCHECK(grad.SameShape(*value))
-        << "parameter/gradient shape mismatch in Sgd::Step";
-    for (int64_t i = 0; i < value->size(); ++i) {
-      const float g = grad.data()[i] + weight_decay_ * value->data()[i];
-      value->data()[i] -= learning_rate_ * g;
-    }
-  }
-}
-
 Adam::Adam(std::vector<ag::Variable> parameters, float learning_rate,
            float weight_decay, float beta1, float beta2, float epsilon)
-    : Optimizer(std::move(parameters)),
+    : parameters_(std::move(parameters)),
       learning_rate_(learning_rate),
       weight_decay_(weight_decay),
       beta1_(beta1),
@@ -44,6 +20,10 @@ Adam::Adam(std::vector<ag::Variable> parameters, float learning_rate,
     first_moment_.emplace_back(p.value().rows(), p.value().cols());
     second_moment_.emplace_back(p.value().rows(), p.value().cols());
   }
+}
+
+void Adam::ZeroGrad() {
+  for (ag::Variable& p : parameters_) p.ZeroGrad();
 }
 
 void Adam::Step() {

@@ -8,41 +8,6 @@
 
 namespace adpa {
 
-/// Base interface for first-order optimizers over autograd parameters.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<ag::Variable> parameters)
-      : parameters_(std::move(parameters)) {}
-  virtual ~Optimizer() = default;
-
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-
-  /// Applies one update using the gradients accumulated on the parameters.
-  virtual void Step() = 0;
-
-  /// Clears all parameter gradients.
-  void ZeroGrad();
-
-  const std::vector<ag::Variable>& parameters() const { return parameters_; }
-
- protected:
-  std::vector<ag::Variable> parameters_;
-};
-
-/// Plain SGD with optional L2 weight decay.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<ag::Variable> parameters, float learning_rate,
-      float weight_decay = 0.0f);
-
-  void Step() override;
-
- private:
-  float learning_rate_;
-  float weight_decay_;
-};
-
 /// Adam's full internal state: the step counter that drives the bias
 /// correction plus one pair of per-parameter moment matrices. Exporting and
 /// restoring it mid-run is what makes training resume bitwise-exact
@@ -55,14 +20,22 @@ struct AdamState {
 };
 
 /// Adam (Kingma & Ba) with decoupled-free classic L2 weight decay, matching
-/// the configuration typically used to train GNN baselines.
-class Adam : public Optimizer {
+/// the configuration typically used to train GNN baselines. Every model
+/// trains through TrainModel (src/train/trainer.h), which builds one.
+class Adam {
  public:
   Adam(std::vector<ag::Variable> parameters, float learning_rate,
        float weight_decay = 0.0f, float beta1 = 0.9f, float beta2 = 0.999f,
        float epsilon = 1e-8f);
 
-  void Step() override;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
+
+  /// Clears all parameter gradients.
+  void ZeroGrad();
+
+  /// Applies one update using the gradients accumulated on the parameters.
+  void Step();
 
   /// Deep copy of the moments and step counter.
   AdamState ExportState() const;
@@ -72,6 +45,7 @@ class Adam : public Optimizer {
   Status RestoreState(AdamState state);
 
  private:
+  std::vector<ag::Variable> parameters_;
   float learning_rate_;
   float weight_decay_;
   float beta1_;
@@ -83,4 +57,3 @@ class Adam : public Optimizer {
 };
 
 }  // namespace adpa
-

@@ -76,7 +76,7 @@ struct KernelTable {
   double (*dot)(const float* a, const float* b, int64_t k);
 
   /// acc[j] += double(w) * x[j] for j in [0, m): the widened-accumulator
-  /// inner axpy of MatMulSparseA / MatMulTransposeA.
+  /// inner axpy of MatMulTransposeA.
   void (*axpy_wide)(double w, const float* x, int64_t m, double* acc);
 
   /// CSR SpMM over output rows [row_begin, row_end): overwrites

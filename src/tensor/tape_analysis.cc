@@ -60,9 +60,8 @@ void CheckOpShapes(const Node* node, std::vector<std::string>* violations) {
         }
       }
     }
-  } else if (IsOneOf(op, {"Scale", "Relu", "LeakyRelu", "Sigmoid", "Tanh",
-                          "DropoutWithMask", "Dropout", "SoftmaxRows",
-                          "LogSoftmaxRows"})) {
+  } else if (IsOneOf(op, {"Scale", "Relu", "Sigmoid", "DropoutWithMask",
+                          "Dropout", "SoftmaxRows"})) {
     if (require_arity(1) && !parents[0]->value.SameShape(value)) {
       complain("input shape " + ShapeOf(parents[0]->value) +
                " differs from output");

@@ -76,8 +76,6 @@ Result<TrainResult> TrainModelResumable(Model* model, const Dataset& dataset,
   ADPA_CHECK(model != nullptr);
   ADPA_CHECK(rng != nullptr);
   ADPA_CHECK_OK(dataset.Validate());
-  ADPA_CHECK(!dataset.val_idx.empty())
-      << "TrainModel needs a validation split for model selection";
 
   Adam optimizer(model->Parameters(), config.learning_rate,
                  config.weight_decay);

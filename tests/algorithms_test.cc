@@ -1,5 +1,4 @@
-// Tests for graph algorithms: components, BFS, k-hop neighborhoods,
-// degree statistics.
+// Tests for graph algorithms: components and degree statistics.
 
 #include <algorithm>
 #include <set>
@@ -77,35 +76,6 @@ TEST(SccTest, SccRefinesWcc) {
       }
     }
   }
-}
-
-TEST(BfsTest, DistancesOnChain) {
-  Digraph g = Digraph::CreateOrDie(4, {{0, 1}, {1, 2}, {2, 3}});
-  const auto d = BfsDistances(g, {0});
-  EXPECT_EQ(d, (std::vector<int64_t>{0, 1, 2, 3}));
-  // Direction matters: from node 3 nothing is reachable.
-  const auto back = BfsDistances(g, {3});
-  EXPECT_EQ(back, (std::vector<int64_t>{-1, -1, -1, 0}));
-}
-
-TEST(BfsTest, MaxHopsTruncates) {
-  Digraph g = Digraph::CreateOrDie(4, {{0, 1}, {1, 2}, {2, 3}});
-  const auto d = BfsDistances(g, {0}, /*max_hops=*/2);
-  EXPECT_EQ(d, (std::vector<int64_t>{0, 1, 2, -1}));
-}
-
-TEST(BfsTest, MultiSource) {
-  Digraph g = Digraph::CreateOrDie(5, {{0, 1}, {4, 3}, {3, 2}});
-  const auto d = BfsDistances(g, {0, 4});
-  EXPECT_EQ(d, (std::vector<int64_t>{0, 1, 2, 1, 0}));
-}
-
-TEST(KHopTest, NeighborhoodExcludesSelf) {
-  Digraph g = Digraph::CreateOrDie(4, {{0, 1}, {1, 2}, {2, 0}, {2, 3}});
-  const auto hop2 = KHopOutNeighborhood(g, 0, 2);
-  EXPECT_EQ(hop2, (std::vector<int64_t>{1, 2}));
-  const auto hop3 = KHopOutNeighborhood(g, 0, 3);
-  EXPECT_EQ(hop3, (std::vector<int64_t>{1, 2, 3}));
 }
 
 TEST(DegreeStatsTest, HandComputed) {

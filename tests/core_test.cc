@@ -159,14 +159,6 @@ TEST(StringsTest, FormatMeanStd) {
   EXPECT_EQ(FormatMeanStd(84.5, 0.6), "84.5±0.6");
 }
 
-TEST(StringsTest, SplitAndJoinRoundTrip) {
-  const std::string text = "a,b,,c";
-  const auto parts = SplitString(text, ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(Join(parts, ","), text);
-}
-
 TEST(StringsTest, Padding) {
   EXPECT_EQ(PadLeft("ab", 4), "  ab");
   EXPECT_EQ(PadRight("ab", 4), "ab  ");
@@ -228,10 +220,14 @@ TEST(FlagsTest, RejectsPositionalArguments) {
 }
 
 TEST(FlagsTest, MalformedNumberFallsBackToDefault) {
-  const char* argv[] = {"prog", "--epochs=abc"};
+  // An empty value is malformed too: strtoll/strtod consume nothing and
+  // would otherwise read it as 0.
+  const char* argv[] = {"prog", "--epochs=abc", "--threads=", "--lr="};
   Flags flags;
-  ASSERT_TRUE(flags.Parse(2, const_cast<char**>(argv)));
+  ASSERT_TRUE(flags.Parse(4, const_cast<char**>(argv)));
   EXPECT_EQ(flags.GetInt("epochs", 12), 12);
+  EXPECT_EQ(flags.GetInt("threads", 3), 3);
+  EXPECT_EQ(flags.GetDouble("lr", 0.01), 0.01);
 }
 
 }  // namespace

@@ -97,17 +97,26 @@ TEST_F(IoTest, SaveRejectsInvalidDataset) {
 }
 
 TEST_F(IoTest, LoadValidatesSemantics) {
-  // Well-formed syntax but overlapping splits must be rejected.
-  std::ofstream out(path_);
-  out << "adpa-dataset 1\n"
-      << "name bad\n"
-      << "nodes 3 classes 2 features 1\n"
-      << "edges 1\n0 1\n"
-      << "labels\n0 1 0\n"
-      << "features\n0.5\n0.5\n0.5\n"
-      << "train 1 0\nval 1 0\ntest 1 2\n";  // node 0 in train AND val
-  out.close();
-  EXPECT_FALSE(LoadDataset(path_).ok());
+  // Well-formed syntax but overlapping or empty splits must be rejected.
+  const auto load_with_splits = [this](const std::string& splits) {
+    std::ofstream out(path_);
+    out << "adpa-dataset 1\n"
+        << "name bad\n"
+        << "nodes 3 classes 2 features 1\n"
+        << "edges 1\n0 1\n"
+        << "labels\n0 1 0\n"
+        << "features\n0.5\n0.5\n0.5\n"
+        << splits;
+    out.close();
+    return LoadDataset(path_);
+  };
+  // Node 0 in train AND val.
+  EXPECT_FALSE(load_with_splits("train 1 0\nval 1 0\ntest 1 2\n").ok());
+  // No validation node: training could not select a model.
+  const Result<Dataset> no_val =
+      load_with_splits("train 1 0\nval 0\ntest 1 2\n");
+  ASSERT_FALSE(no_val.ok());
+  EXPECT_EQ(no_val.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(IoTest, StreamRoundTripMatchesFileRoundTrip) {

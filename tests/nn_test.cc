@@ -1,4 +1,4 @@
-// Tests for layers, initializers, and optimizers.
+// Tests for layers, the Glorot initializer and the Adam optimizer.
 
 #include <cmath>
 
@@ -20,14 +20,6 @@ TEST(InitTest, GlorotUniformWithinLimit) {
     EXPECT_GE(w.data()[i], -limit);
     EXPECT_LE(w.data()[i], limit);
   }
-}
-
-TEST(InitTest, KaimingNormalVariance) {
-  Rng rng(2);
-  Matrix w = nn::KaimingNormal(200, 200, &rng);
-  double sq = 0.0;
-  for (int64_t i = 0; i < w.size(); ++i) sq += w.data()[i] * w.data()[i];
-  EXPECT_NEAR(sq / w.size(), 2.0 / 200.0, 2e-3);
 }
 
 TEST(LinearTest, ShapesAndBias) {
@@ -100,52 +92,30 @@ struct Regression {
   }
 };
 
-TEST(OptimizerTest, SgdConvergesOnLeastSquares) {
+TEST(OptimizerTest, AdamConvergesOnLeastSquares) {
   Regression problem;
-  Rng rng(9);
+  Rng rng(10);
   ag::Variable w = ag::Parameter(Matrix::RandomNormal(4, 2, &rng, 0, 0.1f));
-  Sgd sgd({w}, /*learning_rate=*/0.05f);
+  Adam adam({w}, /*learning_rate=*/0.05f);
   float last_loss = 1e9f;
   for (int step = 0; step < 300; ++step) {
-    sgd.ZeroGrad();
+    adam.ZeroGrad();
     ag::Variable loss = problem.Loss(w);
     ag::Backward(loss);
-    sgd.Step();
+    adam.Step();
     last_loss = loss.value().At(0, 0);
   }
   EXPECT_LT(last_loss, 1e-3f);
 }
 
-TEST(OptimizerTest, AdamConvergesFasterThanSgdHere) {
-  Regression problem;
-  auto run = [&](Optimizer* opt, const ag::Variable& w) {
-    float loss_value = 0.0f;
-    for (int step = 0; step < 100; ++step) {
-      opt->ZeroGrad();
-      ag::Variable loss = problem.Loss(w);
-      ag::Backward(loss);
-      opt->Step();
-      loss_value = loss.value().At(0, 0);
-    }
-    return loss_value;
-  };
-  Rng rng(10);
-  Matrix init = Matrix::RandomNormal(4, 2, &rng, 0, 0.1f);
-  ag::Variable w_adam = ag::Parameter(init);
-  ag::Variable w_sgd = ag::Parameter(init);
-  Adam adam({w_adam}, 0.05f);
-  Sgd sgd({w_sgd}, 0.005f);  // conservative lr to stay stable
-  EXPECT_LT(run(&adam, w_adam), run(&sgd, w_sgd));
-}
-
 TEST(OptimizerTest, WeightDecayShrinksWeights) {
-  // With zero gradient signal, decay must pull weights toward zero.
+  // With zero gradient signal, decay must pull weights toward zero. The
+  // decayed gradient is w = 1, and Adam's bias-corrected first step moves
+  // every weight by exactly the learning rate against its sign.
   ag::Variable w = ag::Parameter(Matrix(3, 3, 1.0f));
-  Sgd sgd({w}, /*learning_rate=*/0.1f, /*weight_decay=*/1.0f);
-  // Build a loss independent of w... instead call Step with explicit grad 0:
-  // accumulate a zero gradient first.
-  w.node()->AccumulateGrad(Matrix(3, 3));
-  sgd.Step();
+  Adam adam({w}, /*learning_rate=*/0.1f, /*weight_decay=*/1.0f);
+  w.node()->AccumulateGrad(Matrix(3, 3));  // an explicit zero gradient
+  adam.Step();
   EXPECT_NEAR(w.value().At(0, 0), 0.9f, 1e-6f);
 }
 

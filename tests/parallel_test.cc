@@ -10,7 +10,6 @@
 #include "src/graph/patterns.h"
 #include "src/graph/sparse_matrix.h"
 #include "src/tensor/matrix.h"
-#include "src/tensor/simd.h"
 
 namespace adpa {
 namespace {
@@ -158,33 +157,6 @@ TEST_F(ParallelTest, MatMulFamilyIsBitwiseIdenticalAcrossThreadCounts) {
       [&] { return MatMulTransposeA(a, same_rows); });
   ExpectBitwiseAcrossThreadCounts(
       [&] { return MatMulTransposeB(a, same_cols); });
-}
-
-TEST_F(ParallelTest, MatMulSparseAMatchesMatMulAndIsThreadCountInvariant) {
-  Rng rng(11);
-  Matrix a = Matrix::RandomNormal(75, 40, &rng);
-  // Punch exact zeros so the skip branch is exercised.
-  a.ApplyFn([](float v) { return v > 0.0f ? v : 0.0f; });
-  const Matrix b = Matrix::RandomNormal(40, 33, &rng);
-  ExpectBitwiseAcrossThreadCounts([&] { return MatMulSparseA(a, b); });
-  SetNumThreads(1);
-  // MatMulSparseA keeps the one-double-chain-per-element accumulation at
-  // every level, so it matches MatMul bit for bit at the levels that share
-  // that discipline. The AVX-512 MatMul accumulates float runs
-  // (simd::KernelTable::gemm_rows), so there agreement is to rel-error —
-  // covered per level by tests/simd_test.cc.
-  const simd::Level saved = simd::ActiveLevel();
-  for (simd::Level level : {simd::Level::kPortable, simd::Level::kAvx2}) {
-    if (!simd::LevelSupported(level)) continue;
-    simd::SetLevel(level);
-    const Matrix dense = MatMul(a, b);
-    const Matrix sparse = MatMulSparseA(a, b);
-    EXPECT_EQ(std::memcmp(dense.data(), sparse.data(),
-                          sizeof(float) * dense.size()),
-              0)
-        << "level " << simd::LevelName(level);
-  }
-  simd::SetLevel(saved);
 }
 
 TEST_F(ParallelTest, ElementwiseAndSoftmaxAreThreadCountInvariant) {

@@ -477,6 +477,10 @@ TEST(ServeMetricsTest, LatencyMemoryIsBoundedButStatsStayRepresentative) {
   EXPECT_NEAR(snapshot.p50_latency_ms, 50.0, 10.0);
   EXPECT_NEAR(snapshot.p99_latency_ms, 99.0, 5.0);
   EXPECT_GT(snapshot.p99_latency_ms, snapshot.p50_latency_ms);
+  // The reservoir's replacement draws come from a fixed splitmix64 stream,
+  // so the sampled percentiles are exact.
+  EXPECT_EQ(snapshot.p50_latency_ms, 49.0);
+  EXPECT_EQ(snapshot.p99_latency_ms, 100.0);
 }
 
 TEST(ServeMetricsTest, PercentilesUseNearestRank) {

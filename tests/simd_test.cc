@@ -141,15 +141,12 @@ TEST(SimdTest, DenseMatMulFamilyIsThreadCountInvariantPerLevel) {
     simd::SetLevel(level);
     SetNumThreads(1);
     const Matrix mm1 = MatMul(a, b);
-    const Matrix sa1 = MatMulSparseA(a, b);
     const Matrix ta1 = MatMulTransposeA(at, b);
     const Matrix tb1 = MatMulTransposeB(a, bt);
     for (int threads : {2, 8}) {
       SetNumThreads(threads);
       EXPECT_TRUE(BitwiseEqual(MatMul(a, b), mm1))
           << simd::LevelName(level) << " MatMul @" << threads << "T";
-      EXPECT_TRUE(BitwiseEqual(MatMulSparseA(a, b), sa1))
-          << simd::LevelName(level) << " MatMulSparseA @" << threads << "T";
       EXPECT_TRUE(BitwiseEqual(MatMulTransposeA(at, b), ta1))
           << simd::LevelName(level) << " MatMulTransposeA @" << threads << "T";
       EXPECT_TRUE(BitwiseEqual(MatMulTransposeB(a, bt), tb1))
@@ -167,7 +164,6 @@ TEST(SimdTest, DenseMatMulFamilyAgreesAcrossLevels) {
   const Matrix bt = Matrix::RandomNormal(kM, kK, &rng);
   simd::SetLevel(simd::Level::kPortable);
   const Matrix mm_ref = MatMul(a, b);
-  const Matrix sa_ref = MatMulSparseA(a, b);
   const Matrix ta_ref = MatMulTransposeA(at, b);
   const Matrix tb_ref = MatMulTransposeB(a, bt);
   for (simd::Level level : simd::SupportedLevels()) {
@@ -178,11 +174,9 @@ TEST(SimdTest, DenseMatMulFamilyAgreesAcrossLevels) {
     // few float ulps — bounded by the run length, not by k.
     EXPECT_LT(MaxRelError(MatMul(a, b), mm_ref), 1e-5)
         << simd::LevelName(level);
-    // The transpose/sparse variants accumulate in double at every level, so
-    // the only divergence is the final double->float rounding of sums whose
+    // The transpose variants accumulate in double at every level, so the
+    // only divergence is the final double->float rounding of sums whose
     // contraction order differs: half-ulp-scale wiggle, not 1e-3 drift.
-    EXPECT_LT(MaxRelError(MatMulSparseA(a, b), sa_ref), 1e-6)
-        << simd::LevelName(level);
     EXPECT_LT(MaxRelError(MatMulTransposeA(at, b), ta_ref), 1e-6)
         << simd::LevelName(level);
     EXPECT_LT(MaxRelError(MatMulTransposeB(a, bt), tb_ref), 1e-6)

@@ -33,7 +33,6 @@
 
 #include "src/amud/amud.h"
 #include "src/core/flags.h"
-#include "src/core/parallel.h"
 #include "src/core/random.h"
 #include "src/core/strings.h"
 #include "src/data/benchmarks.h"
@@ -42,8 +41,8 @@
 #include "src/io/checkpoint.h"
 #include "src/metrics/homophily.h"
 #include "src/models/factory.h"
-#include "src/tensor/simd.h"
 #include "src/train/trainer.h"
+#include "tools/runtime_flags.h"
 
 namespace adpa {
 namespace {
@@ -254,28 +253,8 @@ int Main(int argc, char** argv) {
   const std::string command = argv[1];
   Flags flags;
   if (!flags.Parse(argc - 1, argv + 1)) return Usage();
-  // 0 = auto (ADPA_NUM_THREADS env var, then hardware concurrency).
-  if (flags.Has("threads")) {
-    SetNumThreads(static_cast<int>(flags.GetInt("threads", 0)));
-  }
-  // Resolve the dispatch level eagerly so a bad ADPA_SIMD_LEVEL aborts at
-  // startup instead of on the first kernel call (which some commands never
-  // reach).
-  simd::ActiveLevel();
-  if (flags.Has("simd_level")) {
-    const std::string level_name = flags.GetString("simd_level", "");
-    simd::Level level;
-    if (!simd::ParseLevel(level_name, &level)) {
-      std::fprintf(stderr, "error: unknown --simd_level=%s\n",
-                   level_name.c_str());
-      return Usage();
-    }
-    if (!simd::LevelSupported(level)) {
-      std::fprintf(stderr, "error: --simd_level=%s not supported by this CPU\n",
-                   level_name.c_str());
-      return 1;
-    }
-    simd::SetLevel(level);
+  if (const int code = ApplyRuntimeFlags(flags, Usage); code != 0) {
+    return code;
   }
   if (command == "generate") return Generate(flags);
   if (command == "analyze") return Analyze(flags);

@@ -58,13 +58,12 @@
 #include <unistd.h>
 
 #include "src/core/flags.h"
-#include "src/core/parallel.h"
 #include "src/data/io.h"
 #include "src/net/server.h"
 #include "src/net/socket.h"
 #include "src/serve/hot_swap.h"
 #include "src/serve/metrics.h"
-#include "src/tensor/simd.h"
+#include "tools/runtime_flags.h"
 
 namespace adpa {
 namespace {
@@ -137,26 +136,8 @@ int Main(int argc, char** argv) {
   const std::string checkpoint_path = flags.GetString("checkpoint", "");
   const std::string dataset_path = flags.GetString("in", "");
   if (checkpoint_path.empty() || dataset_path.empty()) return Usage();
-  if (flags.Has("threads")) {
-    SetNumThreads(static_cast<int>(flags.GetInt("threads", 0)));
-  }
-  // Resolve the dispatch level eagerly so a bad ADPA_SIMD_LEVEL aborts at
-  // startup instead of on the first kernel call.
-  simd::ActiveLevel();
-  if (flags.Has("simd_level")) {
-    const std::string level_name = flags.GetString("simd_level", "");
-    simd::Level level;
-    if (!simd::ParseLevel(level_name, &level)) {
-      std::fprintf(stderr, "error: unknown --simd_level=%s\n",
-                   level_name.c_str());
-      return Usage();
-    }
-    if (!simd::LevelSupported(level)) {
-      std::fprintf(stderr, "error: --simd_level=%s not supported by this CPU\n",
-                   level_name.c_str());
-      return 1;
-    }
-    simd::SetLevel(level);
+  if (const int code = ApplyRuntimeFlags(flags, Usage); code != 0) {
+    return code;
   }
 
   net::ServerOptions options;

@@ -41,20 +41,14 @@
 #include <thread>
 
 #include "src/core/flags.h"
+#include "src/core/random.h"
 #include "src/net/socket.h"
 
 namespace adpa {
 namespace {
 
-uint64_t SplitMix64Next(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 double UnitDraw(uint64_t* state) {
-  return static_cast<double>(SplitMix64Next(state) >> 11) * 0x1.0p-53;
+  return static_cast<double>(SplitMix64(state) >> 11) * 0x1.0p-53;
 }
 
 void SleepMs(int64_t ms) {
@@ -93,7 +87,7 @@ class ConnectionPump {
         intensity_(intensity) {}
 
   void Run() {
-    (void)SplitMix64Next(&state_);  // decorrelate adjacent connection seeds
+    (void)SplitMix64(&state_);  // decorrelate adjacent connection seeds
     pollfd fds[2];
     fds[0] = {client_.get(), POLLIN, 0};
     fds[1] = {upstream_.get(), POLLIN, 0};
@@ -117,7 +111,7 @@ class ConnectionPump {
     if (UnitDraw(&state_) >= intensity_) return Fault::kNone;
     // Hostile (client→server) direction gets the full menu; the reply
     // direction only bends time, never bytes.
-    const uint64_t n = SplitMix64Next(&state_) % (hostile ? 5 : 3);
+    const uint64_t n = SplitMix64(&state_) % (hostile ? 5 : 3);
     switch (n) {
       case 0: return Fault::kSplit;
       case 1: return Fault::kTrickle;
@@ -148,7 +142,7 @@ class ConnectionPump {
         while (offset < size) {
           const size_t piece = std::min(
               size - offset,
-              static_cast<size_t>(1 + SplitMix64Next(&state_) % 7));
+              static_cast<size_t>(1 + SplitMix64(&state_) % 7));
           if (!SendAll(to, chunk + offset, piece)) return false;
           offset += piece;
         }
@@ -166,7 +160,7 @@ class ConnectionPump {
         return SendAll(to, chunk + trickled, size - trickled);
       }
       case Fault::kDelay:
-        SleepMs(static_cast<int64_t>(1 + SplitMix64Next(&state_) % 10));
+        SleepMs(static_cast<int64_t>(1 + SplitMix64(&state_) % 10));
         return SendAll(to, chunk, size);
       case Fault::kGarbage: {
         // A line the restricted grammar must reject, injected ahead of the
