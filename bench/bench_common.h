@@ -5,12 +5,14 @@
 //   --epochs=N    max training epochs
 //   --patience=N  early-stopping patience (0 disables)
 //   --scale=F     node-count multiplier for the registry datasets
-//   --threads=N   parallel runtime width (0 = auto; results are identical
+//   --threads=N   parallel runtime width (0..1024, 0 = auto; a value
+//                 outside that range is ignored; results are identical
 //                 for any value, see src/core/parallel.h)
 // Defaults are sized for a single-core sweep; raise them (e.g. --repeats=10
 // --epochs=300 --scale=1.5) to approach the paper's full protocol.
 
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "src/core/flags.h"
@@ -47,7 +49,13 @@ inline BenchOptions ParseBenchOptions(int argc, char** argv,
       static_cast<int>(flags.GetInt("patience", defaults.patience));
   options.scale = flags.GetDouble("scale", defaults.scale);
   if (flags.Has("threads")) {
-    SetNumThreads(static_cast<int>(flags.GetInt("threads", 0)));
+    const std::optional<int> threads =
+        ParseThreadCount(flags.GetString("threads", ""));
+    if (threads.has_value()) {
+      SetNumThreads(*threads);
+    } else {
+      std::fprintf(stderr, "bad --threads; using the automatic width\n");
+    }
   }
   return options;
 }

@@ -13,8 +13,6 @@ std::vector<std::pair<std::string, std::string>> Catalog() {
       {"binary.read", "BinaryReader::ReadBytes, before the stream read"},
       {"checkpoint.save", "SaveCheckpointToStream, before serialization"},
       {"checkpoint.load", "TryLoadCheckpointFromStream, before parsing"},
-      {"cache.save", "SavePropagationCacheToStream, before serialization"},
-      {"cache.load", "TryLoadPropagationCacheFromStream, before parsing"},
       {"atomic_file.open", "AtomicFileWriter::Commit, before the temp open"},
       {"atomic_file.write.partial",
        "AtomicFileWriter::Commit, after half the payload is on disk"},
@@ -25,10 +23,6 @@ std::vector<std::pair<std::string, std::string>> Catalog() {
       {"dataset.load", "LoadDatasetFromStream, before parsing"},
       {"trainer.epoch", "TrainModelResumable, top of each epoch iteration"},
       {"trainer.snapshot", "TrainModelResumable, before a periodic snapshot"},
-      {"serve.cache.load",
-       "InferenceSession::Create, before the propagation cache read"},
-      {"serve.cache.write",
-       "InferenceSession::Create, before the propagation cache rewrite"},
       {"net.accept", "net::AcceptConnection, before the accept syscall"},
       {"net.accept.emfile",
        "net::AcceptConnection, reports fd exhaustion as if accept hit "

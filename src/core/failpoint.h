@@ -108,7 +108,7 @@ inline Status Hit(const char*) { return Status::OK(); }
   } while (false)
 
 /// Expression form for call sites that latch or degrade instead of
-/// returning (BinaryWriter::WriteBytes, cache load-or-compute).
+/// returning (BinaryWriter::WriteBytes, the short-transfer socket seams).
 #define ADPA_FAILPOINT_STATUS(name) ::adpa::failpoint::Hit(name)
 
 #else  // !ADPA_FAILPOINTS_ENABLED

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <deque>
 #include <exception>
+#include <iostream>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -209,16 +210,30 @@ ThreadPool& GetPool() {
 
 }  // namespace
 
+std::optional<int> ParseThreadCount(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  int value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    value = value * 10 + (c - '0');
+    if (value > kMaxThreads) return std::nullopt;  // before it can overflow
+  }
+  return value;
+}
+
 int DefaultNumThreads() {
   if (const char* env = std::getenv("ADPA_NUM_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != nullptr && *end == '\0' && parsed >= 1) {
-      return static_cast<int>(parsed);
+    const std::optional<int> parsed = ParseThreadCount(env);
+    if (parsed.has_value() && *parsed > 0) return *parsed;
+    static std::atomic<bool> warned{false};
+    if (!parsed.has_value() && !warned.exchange(true)) {
+      std::cerr << "warning: ADPA_NUM_THREADS=" << env
+                << " is not an integer in 0.." << kMaxThreads
+                << "; using the hardware thread count\n";
     }
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  return hw == 0 ? 1 : static_cast<int>(std::min<unsigned>(hw, kMaxThreads));
 }
 
 int GetNumThreads() {
@@ -232,6 +247,7 @@ int GetNumThreads() {
 void SetNumThreads(int num_threads) {
   ADPA_CHECK(!InParallelRegion())
       << "SetNumThreads called from inside a ParallelFor body";
+  ADPA_CHECK_LE(num_threads, kMaxThreads);
   PoolState& state = State();
   MutexLock lock(&state.mu);
   state.configured_threads = num_threads > 0 ? num_threads : 0;

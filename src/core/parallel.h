@@ -1,6 +1,8 @@
 #pragma once
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 namespace adpa {
@@ -22,22 +24,34 @@ namespace adpa {
 /// Thread-count resolution order:
 ///   1. `SetNumThreads(n)` with n >= 1 (the `--threads` flag ends up here),
 ///   2. the `ADPA_NUM_THREADS` environment variable,
-///   3. `std::thread::hardware_concurrency()`.
+///   3. `std::thread::hardware_concurrency()`, clamped to kMaxThreads.
 ///
 /// Nested `ParallelFor` calls (a parallel kernel inside a parallel
 /// grid-search trial, for example) execute inline on the calling worker, so
 /// nesting is always safe and never oversubscribes.
 
+/// The widest pool there can be. The pool starts every worker at once, so
+/// without a cap a mistyped width would start that many OS threads.
+inline constexpr int kMaxThreads = 1024;
+
+/// Parses a thread-count setting (`--threads`, `ADPA_NUM_THREADS`): decimal
+/// digits only, 0..kMaxThreads, where 0 means automatic detection. Anything
+/// else (empty, signed, fractional, out of range) is nullopt.
+std::optional<int> ParseThreadCount(std::string_view text);
+
 /// Current thread-pool width (>= 1).
 int GetNumThreads();
 
 /// Reconfigures the pool width. `num_threads <= 0` restores automatic
-/// detection (env var, then hardware concurrency). Joins the old pool's
-/// workers; must not be called from inside a `ParallelFor` body.
+/// detection (env var, then hardware concurrency); more than kMaxThreads is
+/// a CHECK failure. Joins the old pool's workers; must not be called from
+/// inside a `ParallelFor` body.
 void SetNumThreads(int num_threads);
 
 /// The width automatic detection would pick (ADPA_NUM_THREADS env var,
-/// falling back to hardware_concurrency), independent of SetNumThreads.
+/// falling back to hardware_concurrency), independent of SetNumThreads. An
+/// ADPA_NUM_THREADS that ParseThreadCount rejects is warned about once on
+/// stderr and ignored.
 int DefaultNumThreads();
 
 /// True while the calling thread is executing a `ParallelFor` chunk. Used

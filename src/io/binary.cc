@@ -60,7 +60,8 @@ void BinaryWriter::WriteMatrix(const Matrix& matrix) {
              static_cast<size_t>(matrix.size()) * sizeof(float));
 }
 
-BinaryReader::BinaryReader(std::istream* in) : in_(in) {}
+BinaryReader::BinaryReader(std::istream* in, uint64_t size)
+    : in_(in), remaining_(size) {}
 
 Status BinaryReader::ReadBytes(void* data, size_t size) {
   ADPA_FAILPOINT("binary.read");
@@ -68,10 +69,14 @@ Status BinaryReader::ReadBytes(void* data, size_t size) {
     return Status::FailedPrecondition(
         "binary format v1 requires a little-endian host");
   }
+  if (size > remaining_) {
+    return Status::InvalidArgument("truncated input: short read");
+  }
   in_->read(static_cast<char*>(data), static_cast<std::streamsize>(size));
   if (static_cast<size_t>(in_->gcount()) != size) {
     return Status::InvalidArgument("truncated input: short read");
   }
+  remaining_ -= size;
   return Status::OK();
 }
 
@@ -114,9 +119,16 @@ Status BinaryReader::ReadMatrix(Matrix* matrix, int64_t max_entries) {
   if (rows < 0 || cols < 0) {
     return Status::InvalidArgument("negative matrix shape");
   }
-  // Overflow-safe entry ceiling, enforced before the dense allocation.
+  // Overflow-safe entry ceilings, enforced before the dense allocation: the
+  // caller's limit, and what the bytes left can fill (a forged shape must
+  // not size an allocation the input cannot back).
   if (cols > 0 && rows > max_entries / cols) {
     return Status::InvalidArgument("matrix exceeds entry limit");
+  }
+  const int64_t entries_left = static_cast<int64_t>(remaining_ / sizeof(float));
+  if (cols > 0 && rows > entries_left / cols) {
+    return Status::InvalidArgument("truncated input: matrix shape exceeds "
+                                   "the bytes left");
   }
   *matrix = Matrix(rows, cols);
   if (matrix->size() == 0) return Status::OK();

@@ -8,8 +8,8 @@
 
 namespace adpa {
 
-/// Checked little-endian binary (de)serialization primitives shared by the
-/// checkpoint and propagation-cache formats (src/io/checkpoint.h). These are
+/// Checked little-endian binary (de)serialization primitives for the
+/// checkpoint format (src/io/checkpoint.h). These are
 /// the *only* sanctioned file-access surface for src/io/ and src/serve/ —
 /// the `no-direct-io` lint rule rejects raw C stdio there — because every
 /// read is bounds-checked and every failure is a Status, never a crash.
@@ -56,7 +56,10 @@ class BinaryWriter {
 /// caller is expected to abandon the stream.
 class BinaryReader {
  public:
-  explicit BinaryReader(std::istream* in);
+  /// `size` is the number of bytes `in` holds from its current position,
+  /// when the caller knows it (a CRC-verified payload in memory). No read
+  /// goes past it, and ReadMatrix refuses a shape those bytes cannot fill.
+  explicit BinaryReader(std::istream* in, uint64_t size = UINT64_MAX);
 
   Status ReadBytes(void* data, size_t size);
   Status ReadU8(uint8_t* value);
@@ -70,13 +73,15 @@ class BinaryReader {
   /// Rejects strings longer than `max_size` *before* allocating.
   Status ReadString(std::string* text, uint64_t max_size);
 
-  /// Rejects negative shapes and matrices with more than `max_entries`
-  /// elements before the dense allocation (hostile-header safety, same
-  /// philosophy as DatasetLimits in src/data/io.h).
+  /// Rejects negative shapes, and matrices with more than `max_entries`
+  /// elements or more than the bytes left can fill, before the dense
+  /// allocation (hostile-header safety, same philosophy as DatasetLimits in
+  /// src/data/io.h).
   Status ReadMatrix(Matrix* matrix, int64_t max_entries);
 
  private:
   std::istream* in_;
+  uint64_t remaining_;  ///< bytes left before `size`
 };
 
 }  // namespace adpa

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -16,26 +17,21 @@ namespace adpa {
 namespace {
 
 constexpr char kCheckpointMagic[8] = {'A', 'D', 'P', 'A', 'C', 'K', 'P', 'T'};
-constexpr char kCacheMagic[8] = {'A', 'D', 'P', 'A', 'P', 'C', 'H', 'E'};
 /// v2 appended the optional TrainState record; readers accept 1..current.
 constexpr uint32_t kFormatVersion = 2;
 constexpr uint32_t kMinReadableVersion = 1;
+/// The payload is read this many bytes at a time, so its buffer grows with
+/// the bytes that arrive, not with the size the header claims.
+constexpr uint64_t kPayloadChunkBytes = uint64_t{1} << 20;
 
-/// Human-readable container kinds for error messages, so a propagation-cache
-/// failure is never misreported as a checkpoint failure.
-constexpr char kCheckpointKind[] = "checkpoint";
-constexpr char kCacheKind[] = "propagation cache";
-
-Status Malformed(const char* kind, const std::string& what) {
-  return Status::InvalidArgument(std::string("malformed ") + kind + ": " +
-                                 what);
+Status Malformed(const std::string& what) {
+  return Status::InvalidArgument("malformed checkpoint: " + what);
 }
 
 /// Wraps `payload` in the magic/version/CRC32/size container.
-Status WriteContainer(const char magic[8], const std::string& payload,
-                      std::ostream& out) {
+Status WriteContainer(const std::string& payload, std::ostream& out) {
   BinaryWriter writer(&out);
-  writer.WriteBytes(magic, 8);
+  writer.WriteBytes(kCheckpointMagic, 8);
   writer.WriteU32(kFormatVersion);
   writer.WriteU32(Crc32(payload.data(), payload.size()));
   writer.WriteU64(payload.size());
@@ -48,38 +44,39 @@ Status WriteContainer(const char magic[8], const std::string& payload,
 
 /// Validates the container header and returns the CRC-verified payload plus
 /// the (already range-checked) format version in `*version_out`.
-Status ReadContainerPayload(const char magic[8], const char* kind,
-                            std::istream& in, const CheckpointLimits& limits,
+Status ReadContainerPayload(std::istream& in, const CheckpointLimits& limits,
                             std::string* payload, uint32_t* version_out) {
   BinaryReader reader(&in);
   char file_magic[8] = {};
   Status magic_read = reader.ReadBytes(file_magic, 8);
-  if (!magic_read.ok()) return Malformed(kind, "missing magic header");
-  if (std::string(file_magic, 8) != std::string(magic, 8)) {
-    return Malformed(kind,
-                     "bad magic (not a " + std::string(magic, 8) + " file)");
+  if (!magic_read.ok()) return Malformed("missing magic header");
+  if (std::string(file_magic, 8) != std::string(kCheckpointMagic, 8)) {
+    return Malformed("bad magic (not a ADPACKPT file)");
   }
   uint32_t version = 0, crc = 0;
   uint64_t size = 0;
   ADPA_RETURN_IF_ERROR(reader.ReadU32(&version));
   if (version < kMinReadableVersion || version > kFormatVersion) {
-    return Malformed(kind,
-                     "unsupported format version " + std::to_string(version));
+    return Malformed("unsupported format version " + std::to_string(version));
   }
   *version_out = version;
   ADPA_RETURN_IF_ERROR(reader.ReadU32(&crc));
   ADPA_RETURN_IF_ERROR(reader.ReadU64(&size));
   if (size > limits.max_payload_bytes) {
-    return Malformed(kind, "payload size exceeds limit");
+    return Malformed("payload size exceeds limit");
   }
-  payload->resize(size);
-  if (size > 0) {
-    Status body = reader.ReadBytes(payload->data(), size);
-    if (!body.ok()) return Malformed(kind, "truncated payload");
+  payload->clear();
+  while (payload->size() < size) {
+    const size_t offset = payload->size();
+    const size_t chunk = static_cast<size_t>(
+        std::min<uint64_t>(kPayloadChunkBytes, size - offset));
+    payload->resize(offset + chunk);
+    if (!reader.ReadBytes(payload->data() + offset, chunk).ok()) {
+      return Malformed("truncated payload");
+    }
   }
   if (Crc32(payload->data(), payload->size()) != crc) {
     return Malformed(
-        kind,
         "payload checksum mismatch (file corrupted or partially written)");
   }
   return Status::OK();
@@ -125,24 +122,24 @@ Status ReadModelConfig(BinaryReader* r, const CheckpointLimits& limits,
   // hidden-dim weight matrices), and a consumer-side std::max(1, ...) only
   // clamps from below.
   if (c->hidden < 0 || c->hidden > limits.max_hidden_dim) {
-    return Malformed(kCheckpointKind, "hidden dimension exceeds limit");
+    return Malformed("hidden dimension exceeds limit");
   }
   if (c->num_layers < 0 || c->num_layers > limits.max_model_layers) {
-    return Malformed(kCheckpointKind, "layer count exceeds limit");
+    return Malformed("layer count exceeds limit");
   }
   if (c->propagation_steps < 0 ||
       c->propagation_steps > limits.max_propagation_steps) {
-    return Malformed(kCheckpointKind, "propagation step count exceeds limit");
+    return Malformed("propagation step count exceeds limit");
   }
   if (c->pattern_order < 0 || c->pattern_order > limits.max_pattern_order) {
-    return Malformed(kCheckpointKind, "pattern order exceeds limit");
+    return Malformed("pattern order exceeds limit");
   }
   if (c->select_patterns < 0 ||
       c->select_patterns > limits.max_select_patterns) {
-    return Malformed(kCheckpointKind, "selected pattern count exceeds limit");
+    return Malformed("selected pattern count exceeds limit");
   }
   if (dp_attention > static_cast<uint8_t>(DpAttention::kJk)) {
-    return Malformed(kCheckpointKind, "dp_attention enum out of range");
+    return Malformed("dp_attention enum out of range");
   }
   c->dp_attention = static_cast<DpAttention>(dp_attention);
   c->use_dp_attention = use_dp != 0;
@@ -178,13 +175,12 @@ void WritePatterns(BinaryWriter* w,
   }
 }
 
-Status ReadPatterns(BinaryReader* r, const char* kind,
-                    const CheckpointLimits& limits,
+Status ReadPatterns(BinaryReader* r, const CheckpointLimits& limits,
                     std::vector<DirectedPattern>* patterns) {
   uint32_t count = 0;
   ADPA_RETURN_IF_ERROR(r->ReadU32(&count));
   if (count > limits.max_patterns) {
-    return Malformed(kind, "pattern count exceeds limit");
+    return Malformed("pattern count exceeds limit");
   }
   patterns->clear();
   patterns->reserve(count);
@@ -192,43 +188,19 @@ Status ReadPatterns(BinaryReader* r, const char* kind,
     uint32_t length = 0;
     ADPA_RETURN_IF_ERROR(r->ReadU32(&length));
     if (length == 0 || length > limits.max_pattern_length) {
-      return Malformed(kind, "pattern length out of range");
+      return Malformed("pattern length out of range");
     }
     DirectedPattern pattern;
     pattern.word.reserve(length);
     for (uint32_t h = 0; h < length; ++h) {
       uint8_t hop = 0;
       ADPA_RETURN_IF_ERROR(r->ReadU8(&hop));
-      if (hop > 1) return Malformed(kind, "pattern hop byte out of range");
+      if (hop > 1) return Malformed("pattern hop byte out of range");
       pattern.word.push_back(hop == 1 ? Hop::kIn : Hop::kOut);
     }
     patterns->push_back(std::move(pattern));
   }
   return Status::OK();
-}
-
-void WriteCacheKey(BinaryWriter* w, const PropagationCacheKey& key) {
-  w->WriteU64(key.graph_hash);
-  w->WriteU64(key.feature_hash);
-  w->WriteF64(key.conv_r);
-  w->WriteU8(key.self_loops ? 1 : 0);
-  w->WriteU8(key.initial_residual ? 1 : 0);
-  w->WriteI32(key.steps);
-  WritePatterns(w, key.patterns);
-}
-
-Status ReadCacheKey(BinaryReader* r, const CheckpointLimits& limits,
-                    PropagationCacheKey* key) {
-  uint8_t self_loops = 0, residual = 0;
-  ADPA_RETURN_IF_ERROR(r->ReadU64(&key->graph_hash));
-  ADPA_RETURN_IF_ERROR(r->ReadU64(&key->feature_hash));
-  ADPA_RETURN_IF_ERROR(r->ReadF64(&key->conv_r));
-  ADPA_RETURN_IF_ERROR(r->ReadU8(&self_loops));
-  ADPA_RETURN_IF_ERROR(r->ReadU8(&residual));
-  ADPA_RETURN_IF_ERROR(r->ReadI32(&key->steps));
-  key->self_loops = self_loops != 0;
-  key->initial_residual = residual != 0;
-  return ReadPatterns(r, kCacheKind, limits, &key->patterns);
 }
 
 /// v2 training-resume record (after the tensor list; see DESIGN.md §10).
@@ -268,12 +240,12 @@ Status ReadTrainState(BinaryReader* r, const CheckpointLimits& limits,
   ADPA_RETURN_IF_ERROR(r->ReadI64(&s->optimizer_step_count));
   if (s->next_epoch < 0 || s->epochs_since_best < 0 || s->best_epoch < 0 ||
       s->optimizer_step_count < 0) {
-    return Malformed(kCheckpointKind, "negative train-state counter");
+    return Malformed("negative train-state counter");
   }
   uint32_t moments = 0;
   ADPA_RETURN_IF_ERROR(r->ReadU32(&moments));
   if (moments > limits.max_tensors) {
-    return Malformed(kCheckpointKind, "moment count exceeds limit");
+    return Malformed("moment count exceeds limit");
   }
   s->adam_first_moment.reserve(moments);
   s->adam_second_moment.reserve(moments);
@@ -288,7 +260,7 @@ Status ReadTrainState(BinaryReader* r, const CheckpointLimits& limits,
     uint32_t points = 0;
     ADPA_RETURN_IF_ERROR(r->ReadU32(&points));
     if (points > limits.max_curve_points) {
-      return Malformed(kCheckpointKind, "curve length exceeds limit");
+      return Malformed("curve length exceeds limit");
     }
     // Read one point at a time: a hostile count costs at most one failed
     // 8-byte read past the payload, never a count-sized allocation.
@@ -330,7 +302,7 @@ Status SaveCheckpointToStream(const Checkpoint& checkpoint,
     WriteTrainState(&writer, *checkpoint.train_state);
   }
   ADPA_RETURN_IF_ERROR(writer.status());
-  return WriteContainer(kCheckpointMagic, body.str(), out);
+  return WriteContainer(body.str(), out);
 }
 
 Status SaveCheckpoint(const Checkpoint& checkpoint, const std::string& path) {
@@ -344,10 +316,10 @@ Result<Checkpoint> TryLoadCheckpointFromStream(std::istream& in,
   ADPA_FAILPOINT("checkpoint.load");
   std::string payload;
   uint32_t version = 0;
-  ADPA_RETURN_IF_ERROR(ReadContainerPayload(kCheckpointMagic, kCheckpointKind,
-                                            in, limits, &payload, &version));
-  std::istringstream body(payload);
-  BinaryReader reader(&body);
+  ADPA_RETURN_IF_ERROR(ReadContainerPayload(in, limits, &payload, &version));
+  const uint64_t payload_size = payload.size();
+  std::istringstream body(std::move(payload));
+  BinaryReader reader(&body, payload_size);
   Checkpoint checkpoint;
   ADPA_RETURN_IF_ERROR(
       reader.ReadString(&checkpoint.model_name, limits.max_name_bytes));
@@ -357,12 +329,11 @@ Result<Checkpoint> TryLoadCheckpointFromStream(std::istream& in,
   ADPA_RETURN_IF_ERROR(
       ReadModelConfig(&reader, limits, &checkpoint.model_config));
   ADPA_RETURN_IF_ERROR(ReadTrainConfig(&reader, &checkpoint.train_config));
-  ADPA_RETURN_IF_ERROR(
-      ReadPatterns(&reader, kCheckpointKind, limits, &checkpoint.patterns));
+  ADPA_RETURN_IF_ERROR(ReadPatterns(&reader, limits, &checkpoint.patterns));
   uint32_t tensor_count = 0;
   ADPA_RETURN_IF_ERROR(reader.ReadU32(&tensor_count));
   if (tensor_count > limits.max_tensors) {
-    return Malformed(kCheckpointKind, "tensor count exceeds limit");
+    return Malformed("tensor count exceeds limit");
   }
   checkpoint.tensors.reserve(tensor_count);
   for (uint32_t i = 0; i < tensor_count; ++i) {
@@ -377,7 +348,7 @@ Result<Checkpoint> TryLoadCheckpointFromStream(std::istream& in,
     uint8_t has_train_state = 0;
     ADPA_RETURN_IF_ERROR(reader.ReadU8(&has_train_state));
     if (has_train_state > 1) {
-      return Malformed(kCheckpointKind, "train-state flag out of range");
+      return Malformed("train-state flag out of range");
     }
     if (has_train_state == 1) {
       TrainState state;
@@ -390,6 +361,15 @@ Result<Checkpoint> TryLoadCheckpointFromStream(std::istream& in,
 
 Result<Checkpoint> TryLoadCheckpoint(const std::string& path,
                                      const CheckpointLimits& limits) {
+  // Opening a FIFO with no writer blocks without limit; a missing path
+  // falls through to the open and its NotFound.
+  std::error_code error;
+  const std::filesystem::file_status type =
+      std::filesystem::status(path, error);
+  if (std::filesystem::exists(type) &&
+      !std::filesystem::is_regular_file(type)) {
+    return Status::InvalidArgument("not a regular file: " + path);
+  }
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return Status::NotFound("cannot open: " + path);
   Result<Checkpoint> result = TryLoadCheckpointFromStream(in, limits);
@@ -525,74 +505,6 @@ PropagationCacheKey MakePropagationCacheKey(
   key.steps = std::max(1, config.propagation_steps);
   key.patterns = patterns;
   return key;
-}
-
-Status SavePropagationCacheToStream(const PropagationCache& cache,
-                                    std::ostream& out) {
-  ADPA_FAILPOINT("cache.save");
-  std::ostringstream body;
-  BinaryWriter writer(&body);
-  WriteCacheKey(&writer, cache.key);
-  const uint32_t steps = static_cast<uint32_t>(cache.blocks.size());
-  const uint32_t per_step =
-      steps == 0 ? 0 : static_cast<uint32_t>(cache.blocks[0].size());
-  writer.WriteU32(steps);
-  writer.WriteU32(per_step);
-  for (const auto& step_blocks : cache.blocks) {
-    if (step_blocks.size() != per_step) {
-      return Status::InvalidArgument(
-          "propagation cache is ragged (unequal blocks per step)");
-    }
-    for (const Matrix& block : step_blocks) writer.WriteMatrix(block);
-  }
-  ADPA_RETURN_IF_ERROR(writer.status());
-  return WriteContainer(kCacheMagic, body.str(), out);
-}
-
-Status SavePropagationCache(const PropagationCache& cache,
-                            const std::string& path) {
-  AtomicFileWriter writer(path);
-  ADPA_RETURN_IF_ERROR(SavePropagationCacheToStream(cache, writer.stream()));
-  return writer.Commit();
-}
-
-Result<PropagationCache> TryLoadPropagationCacheFromStream(
-    std::istream& in, const CheckpointLimits& limits) {
-  ADPA_FAILPOINT("cache.load");
-  std::string payload;
-  uint32_t version = 0;
-  ADPA_RETURN_IF_ERROR(ReadContainerPayload(kCacheMagic, kCacheKind, in,
-                                            limits, &payload, &version));
-  std::istringstream body(payload);
-  BinaryReader reader(&body);
-  PropagationCache cache;
-  ADPA_RETURN_IF_ERROR(ReadCacheKey(&reader, limits, &cache.key));
-  uint32_t steps = 0, per_step = 0;
-  ADPA_RETURN_IF_ERROR(reader.ReadU32(&steps));
-  ADPA_RETURN_IF_ERROR(reader.ReadU32(&per_step));
-  // `steps` alone must stay under the ceiling (a per_step of 0 would
-  // otherwise skip the product check and let steps drive the resize), and
-  // so must the steps × per_step product (overflow-safe via division).
-  if (steps > limits.max_cache_blocks ||
-      (per_step != 0 && steps > limits.max_cache_blocks / per_step)) {
-    return Malformed(kCacheKind, "cache block count exceeds limit");
-  }
-  cache.blocks.resize(steps);
-  for (uint32_t l = 0; l < steps; ++l) {
-    cache.blocks[l].resize(per_step);
-    for (uint32_t g = 0; g < per_step; ++g) {
-      ADPA_RETURN_IF_ERROR(
-          reader.ReadMatrix(&cache.blocks[l][g], limits.max_tensor_entries));
-    }
-  }
-  return cache;
-}
-
-Result<PropagationCache> TryLoadPropagationCache(
-    const std::string& path, const CheckpointLimits& limits) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::NotFound("cannot open: " + path);
-  return TryLoadPropagationCacheFromStream(in, limits);
 }
 
 }  // namespace adpa

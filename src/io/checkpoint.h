@@ -24,7 +24,7 @@ namespace adpa {
 /// Container layout (all integers little-endian):
 ///
 ///   offset size  field
-///   0      8     magic "ADPACKPT" (checkpoints) / "ADPAPCHE" (caches)
+///   0      8     magic "ADPACKPT"
 ///   8      4     u32 format version (currently 2; v1 files still load)
 ///   12     4     u32 CRC32 (IEEE) of the payload bytes
 ///   16     8     u64 payload size in bytes
@@ -42,8 +42,11 @@ namespace adpa {
 /// size is checked against `CheckpointLimits` *before* the allocation it
 /// would drive, truncation and corruption come back as a non-OK Status
 /// (never a crash), and the CRC check runs before any payload parsing.
+/// A size is also a claim the bytes must back: the payload is read in
+/// bounded chunks, and no tensor may hold more values than the payload has
+/// bytes left, so memory grows with the bytes present, not with the header.
 
-/// Pre-allocation ceilings for checkpoint/cache loading. Defaults fit any
+/// Pre-allocation ceilings for checkpoint loading. Defaults fit any
 /// realistic model; fuzz targets pass tight limits.
 struct CheckpointLimits {
   uint64_t max_payload_bytes = 1ull << 31;  ///< 2 GiB container ceiling
@@ -52,7 +55,6 @@ struct CheckpointLimits {
   int64_t max_tensor_entries = 500'000'000;  ///< per tensor (2 GB of f32)
   uint32_t max_patterns = 4096;
   uint32_t max_pattern_length = 64;
-  uint32_t max_cache_blocks = 4096;  ///< steps × blocks_per_step ceiling
   uint32_t max_curve_points = 1u << 20;  ///< per training-curve vector (v2)
   // ModelConfig magnitude ceilings. A checkpoint's hyperparameters size
   // downstream allocations (hidden × classes weight matrices, per-layer
@@ -122,10 +124,14 @@ Status SaveCheckpoint(const Checkpoint& checkpoint, const std::string& path);
 /// skew, truncation, CRC mismatch, limit breaches — is a non-OK Status.
 ADPA_NODISCARD Result<Checkpoint> TryLoadCheckpointFromStream(
     std::istream& in, const CheckpointLimits& limits = {});
+/// As above, from a file. A path that exists but is not a regular file (a
+/// FIFO, a device, a directory) is InvalidArgument before it is opened:
+/// opening a FIFO with no writer would block the caller without limit.
 ADPA_NODISCARD Result<Checkpoint> TryLoadCheckpoint(const std::string& path,
                                      const CheckpointLimits& limits = {});
 
-/// Content fingerprints (FNV-1a 64) for checkpoint/cache validation.
+/// Content fingerprints (FNV-1a 64) for checkpoint validation and the
+/// propagation key.
 uint64_t MatrixContentHash(const Matrix& matrix);
 uint64_t GraphContentHash(const Digraph& graph);
 uint64_t DatasetContentHash(const Dataset& dataset);
@@ -159,10 +165,9 @@ Status CheckParameterShapes(const Checkpoint& checkpoint,
 /// and dataset dimensions — and every value is finite.
 Status LoadCheckpointIntoModel(const Checkpoint& checkpoint, Model* model);
 
-/// Sidecar cache for the training-free K-step DP propagation (Eq. 9): the
-/// expensive SpMM precompute is keyed by graph/feature content hashes plus
-/// the propagation config, so a serving restart (or a retrain with frozen
-/// inputs) never re-pays it. A key mismatch is a cache miss, not an error.
+/// The inputs that determine one Eq. 9 propagation: graph and feature
+/// content hashes plus the propagation config. Two equal keys propagate to
+/// the same blocks.
 struct PropagationCacheKey {
   uint64_t graph_hash = 0;
   uint64_t feature_hash = 0;
@@ -185,22 +190,5 @@ struct PropagationCacheKey {
 PropagationCacheKey MakePropagationCacheKey(
     const Dataset& dataset, const ModelConfig& config,
     const std::vector<DirectedPattern>& patterns);
-
-/// blocks[l][g] is block g of step l, in the AdpaModel block order (the
-/// initial residual X^(0) first when the key says so, then one block per
-/// pattern).
-struct PropagationCache {
-  PropagationCacheKey key;
-  std::vector<std::vector<Matrix>> blocks;
-};
-
-Status SavePropagationCacheToStream(const PropagationCache& cache,
-                                    std::ostream& out);
-Status SavePropagationCache(const PropagationCache& cache,
-                            const std::string& path);
-ADPA_NODISCARD Result<PropagationCache> TryLoadPropagationCacheFromStream(
-    std::istream& in, const CheckpointLimits& limits = {});
-ADPA_NODISCARD Result<PropagationCache> TryLoadPropagationCache(
-    const std::string& path, const CheckpointLimits& limits = {});
 
 }  // namespace adpa

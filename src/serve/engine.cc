@@ -1,9 +1,7 @@
 #include "src/serve/engine.h"
 
-#include <iostream>
 #include <utility>
 
-#include "src/core/failpoint.h"
 #include "src/core/parallel.h"
 #include "src/core/random.h"
 #include "src/tensor/workspace.h"
@@ -18,24 +16,10 @@ Workspace& ThreadWorkspace() {
   return ws;
 }
 
-bool BlocksShapedLike(const std::vector<std::vector<Matrix>>& blocks,
-                      int steps, int64_t per_step, int64_t rows,
-                      int64_t cols) {
-  if (static_cast<int64_t>(blocks.size()) != steps) return false;
-  for (const auto& step_blocks : blocks) {
-    if (static_cast<int64_t>(step_blocks.size()) != per_step) return false;
-    for (const Matrix& block : step_blocks) {
-      if (block.rows() != rows || block.cols() != cols) return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 Result<InferenceSession> InferenceSession::Create(
-    const Checkpoint& checkpoint, const Dataset& dataset,
-    const EngineOptions& options) {
+    const Checkpoint& checkpoint, const Dataset& dataset) {
   const ModelConfig& config = checkpoint.model_config;
   if (checkpoint.patterns.empty()) {
     return Status::InvalidArgument(
@@ -62,56 +46,13 @@ Result<InferenceSession> InferenceSession::Create(
   session.num_nodes_ = n;
   session.num_classes_ = num_classes;
 
-  // --- Eq. 9 precompute: sidecar cache hit, else replay (and refresh). ---
-  // Graceful degradation is the contract here: a corrupt, truncated, or
-  // unreadable cache must never fail startup — the session recomputes and
-  // rewrites the sidecar, paying one slow start instead of an outage.
-  PropagationCache cache;
-  if (!options.propagation_cache_path.empty()) {
-    cache.key = MakePropagationCacheKey(dataset, config, checkpoint.patterns);
-    Status injected = ADPA_FAILPOINT_STATUS("serve.cache.load");
-    Result<PropagationCache> cached =
-        injected.ok()
-            ? TryLoadPropagationCache(options.propagation_cache_path)
-            : Result<PropagationCache>(std::move(injected));
-    const int64_t blocks_per_step = k + (config.initial_residual ? 1 : 0);
-    if (cached.ok() && cached->key == cache.key &&
-        BlocksShapedLike(cached->blocks, cache.key.steps, blocks_per_step, n,
-                         f)) {
-      cache.blocks = std::move(cached->blocks);
-      session.used_propagation_cache_ = true;
-    } else if (!cached.ok() &&
-               cached.status().code() != StatusCode::kNotFound) {
-      session.cache_degraded_ = true;
-      std::cerr << "warning: propagation cache "
-                << options.propagation_cache_path << " is unusable ("
-                << cached.status().ToString()
-                << "); recomputing and rewriting it\n";
-    }
-  }
-  if (!session.used_propagation_cache_) {
-    cache.blocks = PropagateDp(dataset, config, checkpoint.patterns);
-    if (!options.propagation_cache_path.empty()) {
-      // Best effort: a failed cache write only costs the next startup. The
-      // atomic rewrite also heals the corrupt-sidecar case above.
-      Status cache_write = ADPA_FAILPOINT_STATUS("serve.cache.write");
-      if (cache_write.ok()) {
-        cache_write =
-            SavePropagationCache(cache, options.propagation_cache_path);
-      }
-      if (!cache_write.ok()) {
-        std::cerr << "warning: propagation cache write failed ("
-                  << cache_write.ToString() << "); serving uncached\n";
-      }
-    }
-  }
-
-  // --- Restore the model on the blocks (moved into its leaves). ---
-  // The seed only shapes the initial weights the restore overwrites.
+  // Eq. 9 runs here, and its blocks move into the model's leaves. The seed
+  // only shapes the initial weights the restore overwrites.
   Rng init_rng(0);
   auto model = std::make_unique<AdpaModel>(
       dataset, config, checkpoint.patterns,
-      ToDpLeaves(std::move(cache.blocks)), &init_rng);
+      ToDpLeaves(PropagateDp(dataset, config, checkpoint.patterns)),
+      &init_rng);
   ADPA_RETURN_IF_ERROR(LoadCheckpointIntoModel(checkpoint, model.get()));
   session.model_ = std::move(model);
   return session;

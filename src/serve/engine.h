@@ -1,7 +1,6 @@
 #pragma once
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/core/status.h"
@@ -13,13 +12,10 @@
 
 namespace adpa::serve {
 
-/// Options for InferenceSession::Create.
-struct EngineOptions {
-  /// When non-empty, the Eq. 9 propagation precompute is read from this
-  /// sidecar cache file if its content-hash key matches, and written there
-  /// after a miss. A stale or unreadable cache is a miss, never an error.
-  std::string propagation_cache_path;
-};
+/// Empty. SessionRegistry still takes it because perfbench/serving.cc and
+/// perfbench/pipeline.cc construct `SessionRegistry(dataset, {})`, and the
+/// benchmark tree changes only with the benchmark; it goes when they do.
+struct EngineOptions {};
 
 /// No-tape ADPA inference over a restored checkpoint.
 ///
@@ -39,11 +35,10 @@ class InferenceSession {
  public:
   /// Validates the checkpoint against `dataset` (content hash, then every
   /// tensor shape against AdpaParameterShapes before anything is
-  /// allocated), replays or cache-loads the K-step DP propagation, and
-  /// restores the model on it.
+  /// allocated), runs the K-step DP propagation (PropagateDp), and restores
+  /// the model on it.
   static Result<InferenceSession> Create(const Checkpoint& checkpoint,
-                                         const Dataset& dataset,
-                                         const EngineOptions& options = {});
+                                         const Dataset& dataset);
 
   /// Logits for every node (num_nodes x num_classes).
   Matrix ForwardAll() const;
@@ -59,13 +54,6 @@ class InferenceSession {
 
   int64_t num_nodes() const { return num_nodes_; }
   int64_t num_classes() const { return num_classes_; }
-  /// True when the Eq. 9 precompute came from the sidecar cache.
-  bool used_propagation_cache() const { return used_propagation_cache_; }
-
-  /// True when the sidecar cache existed but was corrupt/truncated and the
-  /// session degraded to recompute-and-rewrite (DESIGN.md §10). A missing
-  /// file or a key mismatch is an ordinary miss, not degradation.
-  bool cache_degraded() const { return cache_degraded_; }
 
  private:
   InferenceSession() = default;
@@ -75,12 +63,12 @@ class InferenceSession {
   std::unique_ptr<const AdpaModel> model_;
   int64_t num_nodes_ = 0;
   int64_t num_classes_ = 0;
-  bool used_propagation_cache_ = false;
-  bool cache_degraded_ = false;
 };
 
 /// The Eq. 9 precompute a session serves: exactly PropagateDp
-/// (src/models/adpa.h), under the name serving callers already use.
+/// (src/models/adpa.h). Its only callers are perfbench/pipeline.cc's
+/// `graph.propagate` span and its Sec. IV-D scaling fit; it goes when they
+/// call PropagateDp.
 inline std::vector<std::vector<Matrix>> ComputePropagationBlocks(
     const Dataset& dataset, const ModelConfig& config,
     const std::vector<DirectedPattern>& patterns) {

@@ -20,13 +20,12 @@ Result<SessionRegistry::ReloadInfo> SessionRegistry::Reload(
   Result<Checkpoint> checkpoint = TryLoadCheckpoint(path);
   if (!checkpoint.ok()) return checkpoint.status();
   Result<InferenceSession> session =
-      InferenceSession::Create(*checkpoint, *dataset_, options_);
+      InferenceSession::Create(*checkpoint, *dataset_);
   if (!session.ok()) return session.status();
 
   ReloadInfo info;
   info.path = path;
   info.model_name = checkpoint->model_name;
-  info.used_propagation_cache = session->used_propagation_cache();
   auto next =
       std::make_shared<const InferenceSession>(std::move(*session));
   {

@@ -16,11 +16,11 @@ namespace adpa::serve {
 /// shared_ptr. Readers (the serving loop, around each batcher flush) take a
 /// reference with Current() and keep the session alive for the whole flush;
 /// Reload() builds a replacement session off to the side — checkpoint read,
-/// CRC check, dataset-hash validation, Eq. 9 propagation replay or cache
-/// load — and only when the new session is fully constructed flips the
-/// pointer under the mutex. In-flight batches keep serving from the old
-/// session until their shared_ptr releases it; new batches pick up the new
-/// one. A reload that fails at any stage leaves the serving pointer
+/// CRC check, dataset-hash validation, Eq. 9 propagation — and only when
+/// the new session is fully constructed flips the pointer under the mutex.
+/// In-flight batches keep serving from the old session until their
+/// shared_ptr releases it; new batches pick up the new one. A reload that
+/// fails at any stage leaves the serving pointer
 /// untouched: the live session keeps answering, the error goes back to the
 /// admin client as a structured reply.
 ///
@@ -32,11 +32,10 @@ namespace adpa::serve {
 /// naturally serialized in arrival order.
 class SessionRegistry {
  public:
-  /// `dataset` must outlive the registry. `options` applies to every load,
-  /// so a propagation cache configured once keeps accelerating reloads
-  /// (same dataset ⇒ same content-hash key ⇒ cache hit).
-  SessionRegistry(const Dataset* dataset, EngineOptions options)
-      : dataset_(dataset), options_(std::move(options)) {}
+  /// `dataset` must outlive the registry. EngineOptions is empty (see
+  /// engine.h).
+  SessionRegistry(const Dataset* dataset, EngineOptions /*options*/)
+      : dataset_(dataset) {}
 
   /// The serving session; null until the first successful Reload.
   std::shared_ptr<const InferenceSession> Current() const
@@ -47,7 +46,6 @@ class SessionRegistry {
     std::string model_name;
     /// Monotone swap counter: 1 after the initial load, +1 per swap.
     int64_t generation = 0;
-    bool used_propagation_cache = false;
   };
 
   /// Loads `path` and, on success, atomically makes it the serving
@@ -66,7 +64,6 @@ class SessionRegistry {
 
  private:
   const Dataset* const dataset_;
-  const EngineOptions options_;
 
   mutable Mutex mu_;
   std::shared_ptr<const InferenceSession> current_ ADPA_GUARDED_BY(mu_);

@@ -84,14 +84,12 @@ TEST(ChaosScheduleTest, SameSpecBuildsIdenticalSchedules) {
   const ChaosSchedule pinned =
       BuildChaosSchedule(ParseChaosSpec("13:0.5").value()).value();
   EXPECT_EQ(pinned.Describe(),
-            "chaos: seed=13 intensity=0.5 armed 12/22 eligible points\n"
+            "chaos: seed=13 intensity=0.5 armed 10/18 eligible points\n"
             "chaos: binary.write=error(chaos)@1in33\n"
             "chaos: checkpoint.save=error(chaos)@1in19\n"
-            "chaos: cache.save=error(chaos)@1in18\n"
             "chaos: atomic_file.write.partial=delay(5)@1in10\n"
             "chaos: atomic_file.before_rename=error(chaos)@1in9\n"
             "chaos: dataset.load=error(chaos)@1in25\n"
-            "chaos: serve.cache.write=delay(4)@1in24\n"
             "chaos: net.accept=error(chaos)@1in29\n"
             "chaos: net.accept.emfile=delay(6)@1in15\n"
             "chaos: net.read.short=error(chaos)@1in15\n"

@@ -1,9 +1,16 @@
 // Checkpoint format tests: exact round-trips, hostile-input rejection
-// (truncation, bad magic, version skew, CRC corruption, limit breaches),
-// and the propagation sidecar cache.
+// (truncation, bad magic, version skew, CRC corruption, limit breaches,
+// size claims the bytes do not back, non-regular paths), and the Eq. 9
+// propagation key.
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -17,7 +24,6 @@
 #include "src/io/checkpoint.h"
 #include "src/models/adpa.h"
 #include "src/models/factory.h"
-#include "src/serve/engine.h"
 #include "src/train/trainer.h"
 
 namespace adpa {
@@ -241,29 +247,6 @@ TEST(CheckpointTest, DatasetHashIsContentSensitive) {
   EXPECT_NE(DatasetContentHash(c), base);
 }
 
-TEST(PropagationCacheTest, RoundTripPreservesKeyAndBlocksExactly) {
-  Dataset ds = Tiny(11);
-  ModelConfig config;
-  const std::vector<DirectedPattern> patterns = EnumeratePatterns(2);
-  PropagationCache cache;
-  cache.key = MakePropagationCacheKey(ds, config, patterns);
-  cache.blocks = serve::ComputePropagationBlocks(ds, config, patterns);
-
-  std::ostringstream out;
-  ASSERT_TRUE(SavePropagationCacheToStream(cache, out).ok());
-  std::istringstream in(out.str());
-  Result<PropagationCache> loaded = TryLoadPropagationCacheFromStream(in);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->key == cache.key);
-  ASSERT_EQ(loaded->blocks.size(), cache.blocks.size());
-  for (size_t l = 0; l < cache.blocks.size(); ++l) {
-    ASSERT_EQ(loaded->blocks[l].size(), cache.blocks[l].size());
-    for (size_t g = 0; g < cache.blocks[l].size(); ++g) {
-      EXPECT_TRUE(BitwiseEqual(loaded->blocks[l][g], cache.blocks[l][g]));
-    }
-  }
-}
-
 TEST(PropagationCacheTest, KeyTracksEveryPropagationInput) {
   Dataset ds = Tiny(12);
   ModelConfig config;
@@ -329,77 +312,88 @@ TEST(CheckpointTest, RestoreWithRecordedPatternsSkipsRederivation) {
       << "restored model does not propagate with the recorded patterns";
 }
 
-/// A syntactically valid cache container whose block-count header claims
-/// `steps` x `per_step` blocks (with a minimal key and no block data).
-std::string HostileCacheBytes(uint32_t steps, uint32_t per_step) {
-  std::ostringstream body_stream;
-  BinaryWriter body(&body_stream);
-  body.WriteU64(0);    // graph_hash
-  body.WriteU64(0);    // feature_hash
-  body.WriteF64(0.5);  // conv_r
-  body.WriteU8(0);     // self_loops
-  body.WriteU8(1);     // initial_residual
-  body.WriteI32(1);    // key steps
-  body.WriteU32(0);    // no patterns
-  body.WriteU32(steps);
-  body.WriteU32(per_step);
-  const std::string payload = body_stream.str();
-  std::ostringstream out;
-  BinaryWriter header(&out);
-  header.WriteBytes("ADPAPCHE", 8);
-  header.WriteU32(1);  // format version
-  header.WriteU32(Crc32(payload.data(), payload.size()));
-  header.WriteU64(payload.size());
-  header.WriteBytes(payload.data(), payload.size());
-  return out.str();
-}
-
-TEST(PropagationCacheTest, HostileStepCountWithZeroPerStepIsRejected) {
-  // per_step == 0 must not bypass the block-count ceiling: `steps` alone
-  // would otherwise drive a multi-gigabyte resize before any block read.
-  for (uint32_t steps : {uint32_t{4097}, uint32_t{0xFFFFFFFF}}) {
-    std::istringstream in(HostileCacheBytes(steps, /*per_step=*/0));
-    Result<PropagationCache> loaded = TryLoadPropagationCacheFromStream(in);
-    ASSERT_FALSE(loaded.ok()) << "steps=" << steps << " accepted";
-    EXPECT_NE(loaded.status().message().find("block count"),
-              std::string::npos)
-        << loaded.status().ToString();
+/// Peak resident set size of this process (VmHWM), in KiB.
+int64_t PeakRssKib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stoll(line.substr(6));
   }
+  return -1;
 }
 
-TEST(PropagationCacheTest, CacheErrorsAreNotReportedAsCheckpointErrors) {
-  std::istringstream in(std::string("XXXXXXXX") + std::string(24, '\0'));
-  Result<PropagationCache> loaded = TryLoadPropagationCacheFromStream(in);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("malformed propagation cache"),
-            std::string::npos)
-      << loaded.status().ToString();
-  EXPECT_EQ(loaded.status().message().find("malformed checkpoint"),
-            std::string::npos)
-      << loaded.status().ToString();
+/// Recomputes the container CRC over the payload, so a forged payload gets
+/// past the checksum as any writer's would.
+std::string Reseal(std::string bytes) {
+  const uint32_t crc = Crc32(bytes.data() + 24, bytes.size() - 24);
+  std::memcpy(&bytes[12], &crc, sizeof(crc));
+  return bytes;
 }
 
-TEST(PropagationCacheTest, CorruptedCacheIsRejected) {
-  Dataset ds = Tiny(13);
-  ModelConfig config;
-  const std::vector<DirectedPattern> patterns = EnumeratePatterns(1);
-  PropagationCache cache;
-  cache.key = MakePropagationCacheKey(ds, config, patterns);
-  cache.blocks = serve::ComputePropagationBlocks(ds, config, patterns);
-  std::ostringstream out;
-  ASSERT_TRUE(SavePropagationCacheToStream(cache, out).ok());
-  std::string bytes = out.str();
-  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x40);
-  std::istringstream in(bytes);
-  EXPECT_FALSE(TryLoadPropagationCacheFromStream(in).ok());
+/// Loads `bytes` in a death-test child, whose peak RSS starts from the
+/// child's own baseline whatever ran earlier in this process. The child
+/// prints the load status (matched against `status_regex`) and exits 0 iff
+/// the load failed and peak RSS grew by less than 64 MiB.
+void ExpectRefusedInBoundedMemory(const std::string& bytes,
+                                  const std::string& status_regex) {
+  EXPECT_EXIT(
+      {
+        const int64_t before = PeakRssKib();
+        const Result<Checkpoint> loaded = Deserialize(bytes);
+        const int64_t growth = PeakRssKib() - before;
+        std::fprintf(stderr, "%s; peak RSS grew by %lld KiB\n",
+                     loaded.status().ToString().c_str(),
+                     static_cast<long long>(growth));
+        _exit(before > 0 && !loaded.ok() && growth < 64 * 1024 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), status_regex);
 }
 
-TEST(PropagationCacheTest, CheckpointMagicIsNotACacheMagic) {
-  // The two containers must not be confusable.
-  TrainedFixture fixture;
-  const std::string bytes = Serialize(fixture.checkpoint);
-  std::istringstream in(bytes);
-  EXPECT_FALSE(TryLoadPropagationCacheFromStream(in).ok());
+TEST(CheckpointTest, PayloadSizeClaimDoesNotSizeTheBuffer) {
+  // A bare 24-byte header claiming the largest payload the default limits
+  // allow (2 GiB); the read must fail having buffered what arrived.
+  std::string bytes = Serialize(Checkpoint{});
+  bytes.resize(24);
+  const uint64_t claimed = CheckpointLimits().max_payload_bytes;
+  std::memcpy(&bytes[16], &claimed, sizeof(claimed));
+  ExpectRefusedInBoundedMemory(bytes, "truncated payload");
+}
+
+TEST(CheckpointTest, ForgedTensorShapeDoesNotSizeTheMatrix) {
+  // One 0 x 0 tensor, then its shape header forged to 20000 x 25000 (the
+  // default entry ceiling exactly) under a valid CRC: the payload holds
+  // one byte after the header, so no such matrix may be allocated.
+  Checkpoint checkpoint;
+  checkpoint.tensors.push_back(NamedTensor{"forged", Matrix(0, 0)});
+  std::string bytes = Serialize(checkpoint);
+  // Payload tail: i64 rows, i64 cols, u8 has_train_state.
+  const size_t shape = bytes.size() - 17;
+  const int64_t rows = 20000, cols = 25000;
+  ASSERT_EQ(rows * cols, CheckpointLimits().max_tensor_entries);
+  std::memcpy(&bytes[shape], &rows, sizeof(rows));
+  std::memcpy(&bytes[shape + 8], &cols, sizeof(cols));
+  ExpectRefusedInBoundedMemory(Reseal(bytes), "InvalidArgument");
+}
+
+TEST(CheckpointTest, FifoPathIsRefusedWithoutBlocking) {
+  // open() on a FIFO with no writer blocks until one appears; a reload of
+  // such a path would freeze the serving loop. The child's alarm turns a
+  // regression into a failure instead of a hung suite.
+  const std::string path =
+      testing::TempDir() + "/checkpoint_fifo_" + std::to_string(getpid());
+  std::remove(path.c_str());
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
+  EXPECT_EXIT(
+      {
+        alarm(5);
+        const Result<Checkpoint> loaded = TryLoadCheckpoint(path);
+        _exit(!loaded.ok() &&
+                      loaded.status().code() == StatusCode::kInvalidArgument
+                  ? 0
+                  : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  std::remove(path.c_str());
 }
 
 }  // namespace

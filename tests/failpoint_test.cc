@@ -96,21 +96,21 @@ TEST_F(FailpointTest, NthHitTriggerFiresExactlyOnce) {
 }
 
 TEST_F(FailpointTest, OneInNTriggerFiresPeriodically) {
-  ASSERT_TRUE(failpoint::Configure("cache.load", "error@1in2").ok());
+  ASSERT_TRUE(failpoint::Configure("checkpoint.load", "error@1in2").ok());
   int failures = 0;
   for (int i = 0; i < 6; ++i) {
-    if (!failpoint::Hit("cache.load").ok()) ++failures;
+    if (!failpoint::Hit("checkpoint.load").ok()) ++failures;
   }
   EXPECT_EQ(failures, 3) << "1in2 must fire on hits 2, 4, 6";
 }
 
 TEST_F(FailpointTest, ConfigureFromStringActivatesMultiplePoints) {
   ASSERT_TRUE(failpoint::ConfigureFromString(
-                  "checkpoint.save=error;;cache.load=error@2;")
+                  "checkpoint.save=error;;checkpoint.load=error@2;")
                   .ok());
   EXPECT_FALSE(failpoint::Hit("checkpoint.save").ok());
-  EXPECT_TRUE(failpoint::Hit("cache.load").ok());
-  EXPECT_FALSE(failpoint::Hit("cache.load").ok());
+  EXPECT_TRUE(failpoint::Hit("checkpoint.load").ok());
+  EXPECT_FALSE(failpoint::Hit("checkpoint.load").ok());
   EXPECT_FALSE(failpoint::ConfigureFromString("no-equals-sign").ok());
   EXPECT_FALSE(failpoint::ConfigureFromString("bogus.name=error").ok());
 }
@@ -123,8 +123,8 @@ TEST_F(FailpointTest, OffSpecDeactivatesAPoint) {
 }
 
 TEST_F(FailpointTest, DelayActionProceedsAfterSleeping) {
-  ASSERT_TRUE(failpoint::Configure("serve.cache.load", "delay(1)").ok());
-  EXPECT_TRUE(failpoint::Hit("serve.cache.load").ok())
+  ASSERT_TRUE(failpoint::Configure("net.reload.load", "delay(1)").ok());
+  EXPECT_TRUE(failpoint::Hit("net.reload.load").ok())
       << "delay must pause, not fail";
 }
 
@@ -158,16 +158,6 @@ TEST_F(FailpointTest, DatasetLoadSeamSurfacesInjectedFailure) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("dataset.load"),
             std::string::npos);
-}
-
-TEST_F(FailpointTest, CacheSaveSeamSurfacesInjectedFailure) {
-  ASSERT_TRUE(failpoint::Configure("cache.save", "error").ok());
-  const PropagationCache cache;  // seam fires before serialization
-  std::ostringstream out;
-  const Status status = SavePropagationCacheToStream(cache, out);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("cache.save"), std::string::npos);
-  EXPECT_TRUE(out.str().empty()) << "nothing may be written after the seam";
 }
 
 TEST_F(FailpointTest, ClearAllResetsActionsAndCounters) {

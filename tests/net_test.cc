@@ -295,7 +295,7 @@ struct SwapFixture {
     Checkpoint checkpoint =
         std::move(TryLoadCheckpoint(checkpoint_path)).value();
     serve::InferenceSession session = std::move(
-        serve::InferenceSession::Create(checkpoint, dataset, {})).value();
+        serve::InferenceSession::Create(checkpoint, dataset)).value();
     return serve::FormatClassesReply(id,
                                      std::move(session.Classify(nodes)).value());
   }

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -33,6 +34,31 @@ TEST_F(ParallelTest, PoolStartupShutdownAndReconfigure) {
   }
   SetNumThreads(0);
   EXPECT_GE(GetNumThreads(), 1);
+}
+
+TEST(ParseThreadCountTest, AcceptsDecimalZeroThroughTheCapOnly) {
+  // Parsing only: an out-of-range width must never reach SetNumThreads, the
+  // environment or a tool, where a wrong bound would start that many threads.
+  struct Case {
+    const char* text;
+    std::optional<int> expected;
+  };
+  const Case cases[] = {
+      {"0", 0},
+      {"4", 4},
+      {"1024", 1024},
+      {"1025", std::nullopt},
+      {"-1", std::nullopt},
+      {"", std::nullopt},
+      {"abc", std::nullopt},
+      {"2.5", std::nullopt},
+      {"4294967297", std::nullopt},  // 2^32 + 1: narrowed to 1 by an int cast
+      {"99999999999999999999", std::nullopt},  // past int64
+  };
+  ASSERT_EQ(kMaxThreads, 1024);
+  for (const Case& c : cases) {
+    EXPECT_EQ(ParseThreadCount(c.text), c.expected) << '"' << c.text << '"';
+  }
 }
 
 TEST_F(ParallelTest, EmptyAndReversedRangesNeverInvokeTheBody) {

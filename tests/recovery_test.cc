@@ -1,8 +1,7 @@
 // Crash-recovery tests (DESIGN.md §10): atomic file replacement keeps an
 // old-or-new-complete artifact through a crash at every stage of Commit;
 // training snapshots round-trip the full TrainState; a resumed run reaches
-// bitwise-identical final weights; and a corrupt propagation cache degrades
-// serving startup to recompute-and-rewrite instead of an outage.
+// bitwise-identical final weights.
 //
 // Crash-injection cases run child processes via gtest death tests and are
 // skipped when failpoints are compiled out (use the `recovery` preset).
@@ -25,7 +24,6 @@
 #include "src/io/atomic_file.h"
 #include "src/io/checkpoint.h"
 #include "src/models/factory.h"
-#include "src/serve/engine.h"
 #include "src/tensor/optimizer.h"
 #include "src/train/trainer.h"
 
@@ -508,100 +506,6 @@ TEST_F(AtomicCrashTest, CrashMidTrainingLeavesAResumableSnapshot) {
   EXPECT_EQ(finished->resumed_from_epoch, 4);
   EXPECT_EQ(finished->epochs_run, 10);
   std::remove(snapshot_path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Serving degradation on corrupt artifacts.
-// ---------------------------------------------------------------------------
-
-struct ServingFixture {
-  Dataset dataset = Tiny(21);
-  ModelConfig config;
-  Checkpoint checkpoint;
-
-  ServingFixture() {
-    config.hidden = 16;
-    Rng rng(21);
-    ModelPtr model =
-        std::move(CreateModel("ADPA", dataset, config, &rng)).value();
-    checkpoint =
-        MakeCheckpoint(*model, "ADPA", dataset, config, TrainConfig());
-  }
-};
-
-TEST(ServeDegradationTest, CorruptCacheDegradesToRecomputeAndHeals) {
-  ServingFixture fixture;
-  serve::EngineOptions options;
-  options.propagation_cache_path =
-      testing::TempDir() + "/degraded_propagation.cache";
-  std::remove(options.propagation_cache_path.c_str());
-
-  // Populate a valid cache, then truncate it mid-payload.
-  {
-    Result<serve::InferenceSession> warmup = serve::InferenceSession::Create(
-        fixture.checkpoint, fixture.dataset, options);
-    ASSERT_TRUE(warmup.ok()) << warmup.status().ToString();
-  }
-  const std::string cache_bytes =
-      ReadFileOrEmpty(options.propagation_cache_path);
-  ASSERT_GT(cache_bytes.size(), 32u);
-  {
-    std::ofstream truncated(options.propagation_cache_path,
-                            std::ios::binary | std::ios::trunc);
-    truncated << cache_bytes.substr(0, cache_bytes.size() / 2);
-  }
-
-  // Startup must survive the corrupt sidecar: degrade, recompute, rewrite.
-  Result<serve::InferenceSession> degraded = serve::InferenceSession::Create(
-      fixture.checkpoint, fixture.dataset, options);
-  ASSERT_TRUE(degraded.ok())
-      << "corrupt cache must degrade, not fail startup: "
-      << degraded.status().ToString();
-  EXPECT_FALSE(degraded->used_propagation_cache());
-  EXPECT_TRUE(degraded->cache_degraded());
-
-  // The degraded startup healed the sidecar: next start is a clean hit.
-  Result<serve::InferenceSession> healed = serve::InferenceSession::Create(
-      fixture.checkpoint, fixture.dataset, options);
-  ASSERT_TRUE(healed.ok());
-  EXPECT_TRUE(healed->used_propagation_cache());
-  EXPECT_FALSE(healed->cache_degraded());
-  std::remove(options.propagation_cache_path.c_str());
-}
-
-TEST(ServeDegradationTest, MissingCacheIsAMissNotADegradation) {
-  ServingFixture fixture;
-  serve::EngineOptions options;
-  options.propagation_cache_path =
-      testing::TempDir() + "/absent_propagation.cache";
-  std::remove(options.propagation_cache_path.c_str());
-  Result<serve::InferenceSession> session = serve::InferenceSession::Create(
-      fixture.checkpoint, fixture.dataset, options);
-  ASSERT_TRUE(session.ok());
-  EXPECT_FALSE(session->used_propagation_cache());
-  EXPECT_FALSE(session->cache_degraded())
-      << "a cold cache is an ordinary miss, not a degradation";
-  std::remove(options.propagation_cache_path.c_str());
-}
-
-TEST(ServeDegradationTest, CacheWriteFailureStillServes) {
-  if (!failpoint::CompiledIn()) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
-  failpoint::ClearAll();
-  ASSERT_TRUE(failpoint::Configure("serve.cache.write", "error").ok());
-  ServingFixture fixture;
-  serve::EngineOptions options;
-  options.propagation_cache_path =
-      testing::TempDir() + "/unwritable_propagation.cache";
-  std::remove(options.propagation_cache_path.c_str());
-  Result<serve::InferenceSession> session = serve::InferenceSession::Create(
-      fixture.checkpoint, fixture.dataset, options);
-  ASSERT_TRUE(session.ok())
-      << "a failed cache write must not fail startup: "
-      << session.status().ToString();
-  EXPECT_EQ(ReadFileOrEmpty(options.propagation_cache_path), "");
-  failpoint::ClearAll();
 }
 
 }  // namespace

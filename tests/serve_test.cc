@@ -5,7 +5,6 @@
 // lines codec must accept exactly the request schema.
 
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -69,10 +68,9 @@ struct SessionFixture {
         MakeCheckpoint(*model, "ADPA", dataset, config, TrainConfig());
   }
 
-  serve::InferenceSession Session(
-      const serve::EngineOptions& options = {}) const {
+  serve::InferenceSession Session() const {
     Result<serve::InferenceSession> session =
-        serve::InferenceSession::Create(checkpoint, dataset, options);
+        serve::InferenceSession::Create(checkpoint, dataset);
     EXPECT_TRUE(session.ok()) << session.status().ToString();
     return std::move(*session);
   }
@@ -313,19 +311,6 @@ TEST(InferenceSessionTest, RefusesNonFiniteWeights) {
               std::string::npos)
         << refused.status().ToString();
   }
-}
-
-TEST(InferenceSessionTest, PropagationCacheHitReproducesResults) {
-  SessionFixture fixture(SmallConfig());
-  serve::EngineOptions options;
-  options.propagation_cache_path =
-      testing::TempDir() + "/serve_propagation.cache";
-  std::remove(options.propagation_cache_path.c_str());  // stale previous run
-  serve::InferenceSession first = fixture.Session(options);
-  EXPECT_FALSE(first.used_propagation_cache()) << "first run must miss";
-  serve::InferenceSession second = fixture.Session(options);
-  EXPECT_TRUE(second.used_propagation_cache()) << "second run must hit";
-  EXPECT_TRUE(BitwiseEqual(second.ForwardAll(), fixture.eval_logits));
 }
 
 TEST(MicroBatcherTest, CoalescesConcurrentClientsWithoutChangingAnswers) {

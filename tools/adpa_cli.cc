@@ -63,8 +63,8 @@ int Usage() {
                "           [--save_checkpoint=F | --load_checkpoint=F]\n"
                "           [--checkpoint_every=N --checkpoint_path=F]\n"
                "           [--resume_from=F]\n"
-               "  any command also accepts --threads=N (0 = auto); results\n"
-               "  are independent of the thread count\n"
+               "  any command also accepts --threads=N (0..1024, 0 = auto);\n"
+               "  results are independent of the thread count\n"
                "  --simd_level=<portable|avx2|avx512> pins the kernel\n"
                "  dispatch level (default: fastest the CPU supports)\n");
   return 2;

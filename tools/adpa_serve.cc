@@ -38,11 +38,10 @@
 //   --checkpoint=F        trained model (required)
 //   --in=F                the dataset the model was trained on (required)
 //   --undirect            mirror the training run's --undirect
-//   --cache=F             sidecar file for the Eq. 9 propagation precompute
 //   --max_batch_nodes=N   node cap per coalesced forward (default 4096)
 //   --max_queue_depth=N   pending-request ceiling before Submit is rejected
 //                         with "overloaded" (default 4096)
-//   --threads=N           kernel thread count (0 = auto)
+//   --threads=N           kernel thread count, 0..1024 (0 = auto)
 //   --simd_level=<portable|avx2|avx512>
 //                         pin the kernel dispatch level (default: fastest
 //                         level the CPU supports)
@@ -117,8 +116,8 @@ int Usage() {
                "usage: adpa_serve --checkpoint=F --in=F [--undirect]\n"
                "                  [--listen=HOST:PORT] [--no_reload\n"
                "                  --idle_timeout_ms=N --stall_timeout_ms=N]\n"
-               "                  [--cache=F --max_batch_nodes=N\n"
-               "                  --max_queue_depth=N --threads=N\n"
+               "                  [--max_batch_nodes=N --max_queue_depth=N\n"
+               "                  --threads=N\n"
                "                  --simd_level=<portable|avx2|avx512>]\n"
                "reads JSON-lines requests from stdin, writes replies to "
                "stdout;\n"
@@ -172,20 +171,17 @@ int Main(int argc, char** argv) {
                             ? dataset->WithUndirectedGraph()
                             : std::move(*dataset);
 
-  serve::EngineOptions engine_options;
-  engine_options.propagation_cache_path = flags.GetString("cache", "");
-  serve::SessionRegistry registry(&input, engine_options);
+  serve::SessionRegistry registry(&input, {});
   const Result<serve::SessionRegistry::ReloadInfo> initial =
       registry.Reload(checkpoint_path);
   if (!initial.ok()) return Fail(initial.status());
   const std::shared_ptr<const serve::InferenceSession> session =
       registry.Current();
   std::fprintf(stderr,
-               "serving %s on %s: %lld nodes, %lld classes, propagation %s\n",
+               "serving %s on %s: %lld nodes, %lld classes\n",
                initial->model_name.c_str(), input.name.c_str(),
                static_cast<long long>(session->num_nodes()),
-               static_cast<long long>(session->num_classes()),
-               initial->used_propagation_cache ? "cache hit" : "computed");
+               static_cast<long long>(session->num_classes()));
 
   serve::ServeMetrics metrics;
   Result<std::unique_ptr<net::Server>> server =

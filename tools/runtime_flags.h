@@ -2,6 +2,7 @@
 // The process-wide runtime flags that adpa_cli and adpa_serve share.
 
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "src/core/flags.h"
@@ -10,13 +11,20 @@
 
 namespace adpa {
 
-/// Applies --threads=N (0 = auto: ADPA_NUM_THREADS, then hardware
-/// concurrency) and --simd_level=<portable|avx2|avx512>. Returns 0 to go
-/// on, or the exit code: `usage()`'s for an unknown level, 1 for a level
-/// this CPU does not support.
+/// Applies --threads=N (0..kMaxThreads; 0 = auto: ADPA_NUM_THREADS, then
+/// hardware concurrency) and --simd_level=<portable|avx2|avx512>. Returns 0
+/// to go on, or the exit code: `usage()`'s for a thread count outside that
+/// range or an unknown level, 1 for a level this CPU does not support.
 inline int ApplyRuntimeFlags(const Flags& flags, int (*usage)()) {
   if (flags.Has("threads")) {
-    SetNumThreads(static_cast<int>(flags.GetInt("threads", 0)));
+    const std::string text = flags.GetString("threads", "");
+    const std::optional<int> threads = ParseThreadCount(text);
+    if (!threads.has_value()) {
+      std::fprintf(stderr, "error: --threads=%s is not an integer in 0..%d\n",
+                   text.c_str(), kMaxThreads);
+      return usage();
+    }
+    SetNumThreads(*threads);
   }
   // Resolve the dispatch level eagerly so a bad ADPA_SIMD_LEVEL aborts at
   // startup instead of on the first kernel call (which some commands never
