@@ -156,6 +156,71 @@ void BM_MatMulDispatch512(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulDispatch512)->ArgNames({"level"})->Arg(0)->Arg(1)->Arg(2);
 
+// The widest dense layer of a training step: the Eq. 10 fusion GEMM of
+// perfbench's train graph (Chameleon x10), whose input concatenates the
+// (k+1) = 7 propagated DP blocks. X is 8900 x 672, W 672 x 64 and the
+// output gradient dY 8900 x 64. A step runs the forward X·W and both
+// backward layouts, dX = dY·Wᵀ (MatMulTransposeB) and dW = Xᵀ·dY
+// (MatMulTransposeA); each runs at every level and at 1, 2 and 4 threads.
+// items_per_second counts multiply-adds (8900·672·64 per iteration).
+enum class FusionLayout { kForward, kGradInput, kGradWeight };
+
+void RunFusionGemm(benchmark::State& state, FusionLayout layout) {
+  const simd::Level level = static_cast<simd::Level>(state.range(0));
+  if (!simd::LevelSupported(level)) {
+    state.SkipWithError("dispatch level not supported by this CPU");
+    return;
+  }
+  ScopedLevel scoped(level);
+  state.SetLabel(simd::LevelName(level));
+  SetNumThreads(static_cast<int>(state.range(1)));
+  constexpr int64_t kRows = 8900, kIn = 672, kOut = 64;
+  Rng rng(5);
+  const Matrix x = Matrix::RandomNormal(kRows, kIn, &rng);
+  const Matrix w = Matrix::RandomNormal(kIn, kOut, &rng);
+  const Matrix dy = Matrix::RandomNormal(kRows, kOut, &rng);
+  Matrix out;
+  for (auto _ : state) {
+    switch (layout) {
+      case FusionLayout::kForward:
+        MatMulInto(x, w, &out);
+        break;
+      case FusionLayout::kGradInput:
+        out = MatMulTransposeB(dy, w);
+        break;
+      case FusionLayout::kGradWeight:
+        out = MatMulTransposeA(x, dy);
+        break;
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kRows * kIn * kOut);
+  SetNumThreads(0);
+}
+
+void BM_FusionMatMul(benchmark::State& state) {
+  RunFusionGemm(state, FusionLayout::kForward);
+}
+void BM_FusionMatMulTransposeB(benchmark::State& state) {
+  RunFusionGemm(state, FusionLayout::kGradInput);
+}
+void BM_FusionMatMulTransposeA(benchmark::State& state) {
+  RunFusionGemm(state, FusionLayout::kGradWeight);
+}
+BENCHMARK(BM_FusionMatMul)
+    ->ArgNames({"level", "threads"})
+    ->ArgsProduct({{0, 1, 2}, {1, 2, 4}})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FusionMatMulTransposeB)
+    ->ArgNames({"level", "threads"})
+    ->ArgsProduct({{0, 1, 2}, {1, 2, 4}})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FusionMatMulTransposeA)
+    ->ArgNames({"level", "threads"})
+    ->ArgsProduct({{0, 1, 2}, {1, 2, 4}})
+    ->Unit(benchmark::kMillisecond);
+
 // The per-hop propagation chain out = (1-alpha) * (A_hat * x) + alpha * x,
 // fused into one pass (SparseMatrix::MultiplyAxpbyInto) vs. the unfused
 // Multiply + ScaleInPlace + AddScaledInPlace sequence it replaces. Both run

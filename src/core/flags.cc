@@ -5,6 +5,21 @@
 
 namespace adpa {
 
+std::optional<int64_t> ParseDecimal(std::string_view text, int64_t lo,
+                                    int64_t hi) {
+  if (text.empty()) return std::nullopt;
+  int64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const int64_t digit = c - '0';
+    // Rejects value*10 + digit > hi without computing it.
+    if (digit > hi || value > (hi - digit) / 10) return std::nullopt;
+    value = value * 10 + digit;
+  }
+  if (value < lo) return std::nullopt;
+  return value;
+}
+
 bool Flags::Parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];

@@ -1,9 +1,18 @@
 #pragma once
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace adpa {
+
+/// Parses a bounded count: decimal digits only (no sign, space or
+/// fraction), read as a value in [lo, hi] (requires 0 <= lo <= hi). Anything
+/// else, a value past hi included, is nullopt — never a narrowed or wrapped
+/// number.
+std::optional<int64_t> ParseDecimal(std::string_view text, int64_t lo,
+                                    int64_t hi);
 
 /// Minimal `--key=value` / `--key value` command-line parser shared by the
 /// tools, bench and example binaries. Parse rejects only positional

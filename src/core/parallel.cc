@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/flags.h"
 #include "src/core/logging.h"
 #include "src/core/mutex.h"
 #include "src/core/thread_annotations.h"
@@ -211,14 +212,9 @@ ThreadPool& GetPool() {
 }  // namespace
 
 std::optional<int> ParseThreadCount(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  int value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    value = value * 10 + (c - '0');
-    if (value > kMaxThreads) return std::nullopt;  // before it can overflow
-  }
-  return value;
+  const std::optional<int64_t> value = ParseDecimal(text, 0, kMaxThreads);
+  if (!value.has_value()) return std::nullopt;
+  return static_cast<int>(*value);
 }
 
 int DefaultNumThreads() {

@@ -3,13 +3,12 @@
 // (simd::ActiveLevel) guarantees these functions only execute on CPUs that
 // support them.
 //
-// Precision discipline: the dense GEMM family keeps the double-accumulator
-// contract by widening 8-wide float lanes into pairs of 4-wide double
-// accumulators (_mm256_cvtps_pd) and accumulating with double FMAs. Per
-// output element the contraction order is a fixed function of shapes, so
-// results at this level are bitwise identical for any thread count; they
-// differ from the portable level only by FMA contraction / lane-splitting
-// rounding, which the parity suite bounds with rel-error checks.
+// Precision discipline: the dense GEMM family accumulates in double FMAs
+// over operands widened from float (exact). MatMul and MatMulTransposeA
+// sum each element in the portable level's order, so they give its bits;
+// MatMulTransposeB keeps this level's 8-lane dot chain (simd.h). Per output
+// element the order is a fixed function of shapes, so results at this
+// level are bitwise identical for any thread count.
 
 #include <cstdint>
 
@@ -31,7 +30,6 @@
 #endif
 
 #include <algorithm>
-#include <vector>
 
 namespace adpa::simd::detail {
 namespace {
@@ -41,23 +39,6 @@ namespace {
 // AVX2 budget.
 constexpr int64_t kMr = 4;
 constexpr int64_t kNr = 12;
-
-std::vector<double>& SlabScratch() {
-  thread_local std::vector<double> slab;
-  return slab;
-}
-
-// Packs b[:, j0:j0+width) into a zero-padded k x kNr double slab.
-void PackSlab(const float* b, int64_t k, int64_t m, int64_t j0, int64_t width,
-              double* slab) {
-  for (int64_t p = 0; p < k; ++p) {
-    const float* b_row = b + p * m + j0;
-    double* dst = slab + p * kNr;
-    int64_t l = 0;
-    for (; l < width; ++l) dst[l] = b_row[l];
-    for (; l < kNr; ++l) dst[l] = 0.0;
-  }
-}
 
 // Stores one row of kNr double accumulators to float output (width lanes).
 inline void StoreRow(const __m256d acc0, const __m256d acc1,
@@ -77,30 +58,31 @@ inline void StoreRow(const __m256d acc0, const __m256d acc1,
   }
 }
 
-ADPA_HOT void GemmRowsAvx2(const float* a, const double* ad, const float* b,
-                  int64_t i_begin, int64_t i_end, int64_t k, int64_t m,
-                  float* out) {
-  (void)a;  // this level accumulates from the pre-widened operand
-  std::vector<double>& slab_buf = SlabScratch();
-  slab_buf.resize(k * kNr);  // analyze:allow(alloc): thread_local slab capacity reuse
-  double* slab = slab_buf.data();
+// Packs the right operand once into kNr-column slabs, then widens `a` one
+// kMr-row panel at a time and sweeps the panel over every slab.
+ADPA_HOT void GemmRowsAvx2(const float* a, const float* b, int64_t i_begin,
+                           int64_t i_end, int64_t k, int64_t m, float* out) {
   const int64_t num_slabs = (m + kNr - 1) / kNr;
-  for (int64_t s = 0; s < num_slabs; ++s) {
-    const int64_t j0 = s * kNr;
-    const int64_t width = std::min<int64_t>(kNr, m - j0);
-    PackSlab(b, k, m, j0, width, slab);
-    int64_t i0 = i_begin;
-    for (; i0 + kMr <= i_end; i0 += kMr) {
+  double* slabs = ScratchDoubles(0, num_slabs * k * kNr);
+  PackColumnPanels(b, m, 1, k, m, kNr, slabs);
+  double* panel = ScratchDoubles(1, kMr * k);
+  int64_t i0 = i_begin;
+  for (; i0 + kMr <= i_end; i0 += kMr) {
+    WidenRows(a + i0 * k, kMr * k, panel);
+    const double* a0 = panel + 0 * k;
+    const double* a1 = panel + 1 * k;
+    const double* a2 = panel + 2 * k;
+    const double* a3 = panel + 3 * k;
+    for (int64_t s = 0; s < num_slabs; ++s) {
+      const int64_t j0 = s * kNr;
+      const int64_t width = std::min<int64_t>(kNr, m - j0);
+      const double* slab = slabs + s * k * kNr;
       __m256d acc[kMr][3];
       for (int64_t r = 0; r < kMr; ++r) {
         acc[r][0] = _mm256_setzero_pd();
         acc[r][1] = _mm256_setzero_pd();
         acc[r][2] = _mm256_setzero_pd();
       }
-      const double* a0 = ad + (i0 + 0) * k;
-      const double* a1 = ad + (i0 + 1) * k;
-      const double* a2 = ad + (i0 + 2) * k;
-      const double* a3 = ad + (i0 + 3) * k;
       for (int64_t p = 0; p < k; ++p) {
         const double* b_row = slab + p * kNr;
         const __m256d bv0 = _mm256_loadu_pd(b_row + 0);
@@ -128,16 +110,21 @@ ADPA_HOT void GemmRowsAvx2(const float* a, const double* ad, const float* b,
                  out + (i0 + r) * m + j0);
       }
     }
-    // Row tail: single-row micro-kernel; per element the same sequential-k
-    // FMA chain, so a row lands on the same bits whichever path computes it.
-    for (; i0 < i_end; ++i0) {
+  }
+  // Row tail: single-row micro-kernel; per element the same sequential-k
+  // FMA chain, so a row lands on the same bits whichever path computes it.
+  for (; i0 < i_end; ++i0) {
+    WidenRows(a + i0 * k, k, panel);
+    for (int64_t s = 0; s < num_slabs; ++s) {
+      const int64_t j0 = s * kNr;
+      const int64_t width = std::min<int64_t>(kNr, m - j0);
+      const double* slab = slabs + s * k * kNr;
       __m256d acc0 = _mm256_setzero_pd();
       __m256d acc1 = _mm256_setzero_pd();
       __m256d acc2 = _mm256_setzero_pd();
-      const double* a_row = ad + i0 * k;
       for (int64_t p = 0; p < k; ++p) {
         const double* b_row = slab + p * kNr;
-        const __m256d av = _mm256_set1_pd(a_row[p]);
+        const __m256d av = _mm256_set1_pd(panel[p]);
         acc0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b_row + 0), acc0);
         acc1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b_row + 4), acc1);
         acc2 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b_row + 8), acc2);
@@ -147,43 +134,56 @@ ADPA_HOT void GemmRowsAvx2(const float* a, const double* ad, const float* b,
   }
 }
 
-ADPA_HOT double DotAvx2(const float* a, const float* b, int64_t k) {
-  // 8-wide float lanes widened into two 4-wide double accumulators (lanes
-  // p%8 in 0..3 vs 4..7); the split and the final fixed-order horizontal
-  // sum change the rounding relative to the strictly sequential portable
-  // dot, which is exactly the cross-level difference the rel-error parity
-  // suite bounds. Within this level the order is a pure function of k.
-  __m256d acc_lo = _mm256_setzero_pd();
-  __m256d acc_hi = _mm256_setzero_pd();
-  int64_t p = 0;
-  for (; p + 8 <= k; p += 8) {
-    const __m256 af = _mm256_loadu_ps(a + p);
-    const __m256 bf = _mm256_loadu_ps(b + p);
-    const __m256d a_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(af));
-    const __m256d b_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(bf));
-    const __m256d a_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(af, 1));
-    const __m256d b_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(bf, 1));
-    acc_lo = _mm256_fmadd_pd(a_lo, b_lo, acc_lo);
-    acc_hi = _mm256_fmadd_pd(a_hi, b_hi, acc_hi);
+// The backward GEMMs' register tiles (simd_kernels.h) over ymm registers
+// of 4 doubles, sized for the 16-register budget. A*Bᵀ keeps this level's
+// 8-lane dot chain (simd.h); its tile is 3 rows by 2 panels, 2*3*2
+// accumulators plus 3 operand registers. The A^T*B zero skip masks the b
+// operand: a zero weight then adds 0 * 0, which leaves a double sum
+// unchanged (the sum starts at +0.0 and so is never -0.0), where an
+// unmasked Inf or NaN in b would have turned 0 * b into NaN.
+struct Avx2 {
+  using Reg = __m256d;
+  using Mask = __m256d;
+  static constexpr int kWidth = 4;
+  static constexpr int kLanes = 8;
+  static constexpr int kBtRows = 3;
+  static constexpr int kBtPanels = 2;
+  static constexpr int kAtRows = 2;
+  static constexpr int kAtVecs = 4;
+  static Reg Zero() { return _mm256_setzero_pd(); }
+  static Reg Load(const double* src) { return _mm256_loadu_pd(src); }
+  static void Store(double* dst, Reg v) { _mm256_storeu_pd(dst, v); }
+  static Reg Broadcast(double x) { return _mm256_set1_pd(x); }
+  static Reg Fma(Reg a, Reg b, Reg c) { return _mm256_fmadd_pd(a, b, c); }
+  static Reg Add(Reg a, Reg b) { return _mm256_add_pd(a, b); }
+  static void StoreFloats(Reg v, int64_t width, float* dst) {
+    const __m128 f = _mm256_cvtpd_ps(v);
+    if (width >= kWidth) {
+      _mm_storeu_ps(dst, f);
+      return;
+    }
+    float tmp[kWidth];
+    _mm_storeu_ps(tmp, f);
+    for (int64_t l = 0; l < width; ++l) dst[l] = tmp[l];
   }
-  double lanes[8];
-  _mm256_storeu_pd(lanes + 0, acc_lo);
-  _mm256_storeu_pd(lanes + 4, acc_hi);
-  double total = 0.0;
-  for (int l = 0; l < 8; ++l) total += lanes[l];
-  for (; p < k; ++p) total += static_cast<double>(a[p]) * b[p];
-  return total;
+  static Mask NonZero(Reg w) {
+    return _mm256_cmp_pd(w, _mm256_setzero_pd(), _CMP_NEQ_UQ);
+  }
+  static Reg FmaMasked(Reg w, Reg x, Reg c, Mask mask) {
+    return _mm256_fmadd_pd(w, _mm256_and_pd(x, mask), c);
+  }
+};
+
+ADPA_HOT void GemmBtRowsAvx2(const float* a, const float* b, int64_t i_begin,
+                             int64_t i_end, int64_t k, int64_t m,
+                             float* out) {
+  GemmBtRowsTiled<Avx2>(a, b, i_begin, i_end, k, m, out);
 }
 
-ADPA_HOT void AxpyWideAvx2(double w, const float* x, int64_t m, double* acc) {
-  const __m256d wv = _mm256_set1_pd(w);
-  int64_t j = 0;
-  for (; j + 4 <= m; j += 4) {
-    const __m256d xv = _mm256_cvtps_pd(_mm_loadu_ps(x + j));
-    const __m256d av = _mm256_loadu_pd(acc + j);
-    _mm256_storeu_pd(acc + j, _mm256_fmadd_pd(wv, xv, av));
-  }
-  for (; j < m; ++j) acc[j] += w * x[j];
+ADPA_HOT void GemmAtRowsAvx2(const float* a, const float* b, int64_t n,
+                             int64_t k, int64_t m, int64_t p_begin,
+                             int64_t p_end, float* out) {
+  GemmAtRowsVec<Avx2>(a, b, n, k, m, p_begin, p_end, out);
 }
 
 // dst[c] += w * src[c], float32 FMA lanes; each element independent.
@@ -300,8 +300,8 @@ ADPA_HOT void ScaleToAvx2(float* dst, const float* src, float factor, int64_t n)
 }  // namespace
 
 const KernelTable kAvx2Table = {
-    GemmRowsAvx2, DotAvx2,  AxpyWideAvx2, SpmmRowsAvx2, SpmmAxpbyRowsAvx2,
-    AddAvx2,      SubAvx2,  MulAvx2,      ScaleAvx2,    AxpyAvx2,
+    GemmRowsAvx2, GemmBtRowsAvx2, GemmAtRowsAvx2, SpmmRowsAvx2,
+    SpmmAxpbyRowsAvx2, AddAvx2, SubAvx2, MulAvx2, ScaleAvx2, AxpyAvx2,
     ScaleToAvx2,  CopyPortable,  // a copy is a copy at every level
 };
 
@@ -311,7 +311,7 @@ const KernelTable kAvx2Table = {
 
 namespace adpa::simd::detail {
 const KernelTable kAvx2Table = {
-    GemmRowsPortable, DotPortable,      AxpyWidePortable,
+    GemmRowsPortable, GemmBtRowsPortable, GemmAtRowsPortable,
     SpmmRowsPortable, SpmmAxpbyRowsPortable,
     AddPortable,      SubPortable,      MulPortable,
     ScalePortable,    AxpyPortable,     ScaleToPortable,

@@ -2,13 +2,15 @@
 // AVX2/FMA baseline) regardless of the global architecture flags; runtime
 // dispatch guarantees these functions only execute on AVX-512 CPUs.
 //
-// Dense GEMM precision discipline at this level: fixed kKChunk-step runs of
-// the contraction accumulate in 16-wide float32 FMAs (twice the double FMA
-// throughput), and each completed run is folded into per-element double
-// accumulators — the unbounded-k direction still accumulates in double, so
-// rounding error stays bounded by the fixed run length instead of growing
-// with k. The per-element order is a pure function of shapes (bitwise
-// thread-count invariant within the level; rel-error vs. the other levels).
+// Dense GEMM precision discipline at this level: in MatMul, fixed
+// kKChunk-step runs of the contraction accumulate in 16-wide float32 FMAs
+// (twice the double FMA throughput), and each completed run is folded into
+// per-element double accumulators — the unbounded-k direction still
+// accumulates in double, so rounding error stays bounded by the fixed run
+// length instead of growing with k. MatMulTransposeB keeps this level's
+// 16-lane double dot chain and MatMulTransposeA the all-level increasing-row
+// double chain (simd.h). The per-element order is a pure function of shapes
+// (bitwise thread-count invariant within the level).
 
 #include <cstdint>
 
@@ -30,7 +32,6 @@
 #endif
 
 #include <algorithm>
-#include <vector>
 
 namespace adpa::simd::detail {
 namespace {
@@ -159,10 +160,9 @@ float ScalarChunkedDot(const float* a_row, const float* b, int64_t j,
   return static_cast<float>(dacc);
 }
 
-ADPA_HOT void GemmRowsAvx512(const float* a, const double* ad, const float* b,
-                    int64_t i_begin, int64_t i_end, int64_t k, int64_t m,
-                    float* out) {
-  (void)ad;  // this level accumulates float runs straight from `a`
+ADPA_HOT void GemmRowsAvx512(const float* a, const float* b, int64_t i_begin,
+                             int64_t i_end, int64_t k, int64_t m,
+                             float* out) {
   int64_t j0 = 0;
   for (; j0 + kNr <= m; j0 += kNr) {
     int64_t i0 = i_begin;
@@ -190,41 +190,54 @@ ADPA_HOT void GemmRowsAvx512(const float* a, const double* ad, const float* b,
   }
 }
 
-ADPA_HOT double DotAvx512(const float* a, const float* b, int64_t k) {
-  // 16-wide float lanes widened into two 8-wide double accumulators; fixed
-  // lane order in the final horizontal sum keeps the result a pure
-  // function of k.
-  __m512d acc_lo = _mm512_setzero_pd();
-  __m512d acc_hi = _mm512_setzero_pd();
-  int64_t p = 0;
-  for (; p + 16 <= k; p += 16) {
-    const __m256 af_lo = _mm256_loadu_ps(a + p);
-    const __m256 bf_lo = _mm256_loadu_ps(b + p);
-    const __m256 af_hi = _mm256_loadu_ps(a + p + 8);
-    const __m256 bf_hi = _mm256_loadu_ps(b + p + 8);
-    acc_lo = _mm512_fmadd_pd(_mm512_cvtps_pd(af_lo), _mm512_cvtps_pd(bf_lo),
-                             acc_lo);
-    acc_hi = _mm512_fmadd_pd(_mm512_cvtps_pd(af_hi), _mm512_cvtps_pd(bf_hi),
-                             acc_hi);
+// The backward GEMMs' register tiles (simd_kernels.h) over zmm registers
+// of 8 doubles. A*Bᵀ keeps this level's 16-lane dot chain (simd.h); its
+// tile is 4 rows by 3 panels, 2*4*3 accumulators plus 4 operand registers. The
+// A^T*B zero skip is a write mask, so a masked-off lane keeps its sum
+// untouched, as the skipped add of the historical loop did.
+struct Avx512 {
+  using Reg = __m512d;
+  using Mask = __mmask8;
+  static constexpr int kWidth = 8;
+  static constexpr int kLanes = 16;
+  static constexpr int kBtRows = 4;
+  static constexpr int kBtPanels = 3;
+  static constexpr int kAtRows = 4;
+  static constexpr int kAtVecs = 4;
+  static Reg Zero() { return _mm512_setzero_pd(); }
+  static Reg Load(const double* src) { return _mm512_loadu_pd(src); }
+  static void Store(double* dst, Reg v) { _mm512_storeu_pd(dst, v); }
+  static Reg Broadcast(double x) { return _mm512_set1_pd(x); }
+  static Reg Fma(Reg a, Reg b, Reg c) { return _mm512_fmadd_pd(a, b, c); }
+  static Reg Add(Reg a, Reg b) { return _mm512_add_pd(a, b); }
+  static void StoreFloats(Reg v, int64_t width, float* dst) {
+    const __m256 f = _mm512_cvtpd_ps(v);
+    if (width >= kWidth) {
+      _mm256_storeu_ps(dst, f);
+      return;
+    }
+    float tmp[kWidth];
+    _mm256_storeu_ps(tmp, f);
+    for (int64_t l = 0; l < width; ++l) dst[l] = tmp[l];
   }
-  double lanes[16];
-  _mm512_storeu_pd(lanes + 0, acc_lo);
-  _mm512_storeu_pd(lanes + 8, acc_hi);
-  double total = 0.0;
-  for (int l = 0; l < 16; ++l) total += lanes[l];
-  for (; p < k; ++p) total += static_cast<double>(a[p]) * b[p];
-  return total;
+  static Mask NonZero(Reg w) {
+    return _mm512_cmp_pd_mask(w, _mm512_setzero_pd(), _CMP_NEQ_UQ);
+  }
+  static Reg FmaMasked(Reg w, Reg x, Reg c, Mask mask) {
+    return _mm512_mask3_fmadd_pd(w, x, c, mask);
+  }
+};
+
+ADPA_HOT void GemmBtRowsAvx512(const float* a, const float* b,
+                               int64_t i_begin, int64_t i_end, int64_t k,
+                               int64_t m, float* out) {
+  GemmBtRowsTiled<Avx512>(a, b, i_begin, i_end, k, m, out);
 }
 
-ADPA_HOT void AxpyWideAvx512(double w, const float* x, int64_t m, double* acc) {
-  const __m512d wv = _mm512_set1_pd(w);
-  int64_t j = 0;
-  for (; j + 8 <= m; j += 8) {
-    const __m512d xv = _mm512_cvtps_pd(_mm256_loadu_ps(x + j));
-    const __m512d av = _mm512_loadu_pd(acc + j);
-    _mm512_storeu_pd(acc + j, _mm512_fmadd_pd(wv, xv, av));
-  }
-  for (; j < m; ++j) acc[j] += w * x[j];
+ADPA_HOT void GemmAtRowsAvx512(const float* a, const float* b, int64_t n,
+                               int64_t k, int64_t m, int64_t p_begin,
+                               int64_t p_end, float* out) {
+  GemmAtRowsVec<Avx512>(a, b, n, k, m, p_begin, p_end, out);
 }
 
 inline void AxpyRowF32(float* dst, const float* src, float w, int64_t n) {
@@ -340,7 +353,7 @@ ADPA_HOT void ScaleToAvx512(float* dst, const float* src, float factor, int64_t 
 }  // namespace
 
 const KernelTable kAvx512Table = {
-    GemmRowsAvx512, DotAvx512,  AxpyWideAvx512,
+    GemmRowsAvx512, GemmBtRowsAvx512, GemmAtRowsAvx512,
     SpmmRowsAvx512, SpmmAxpbyRowsAvx512,
     AddAvx512,      SubAvx512,  MulAvx512,
     ScaleAvx512,    AxpyAvx512, ScaleToAvx512,
@@ -353,7 +366,7 @@ const KernelTable kAvx512Table = {
 
 namespace adpa::simd::detail {
 const KernelTable kAvx512Table = {
-    GemmRowsPortable, DotPortable,      AxpyWidePortable,
+    GemmRowsPortable, GemmBtRowsPortable, GemmAtRowsPortable,
     SpmmRowsPortable, SpmmAxpbyRowsPortable,
     AddPortable,      SubPortable,      MulPortable,
     ScalePortable,    AxpyPortable,     ScaleToPortable,

@@ -1,8 +1,9 @@
-// Portable (plain C++) kernel level. These are the historical matrix.cc and
-// sparse_matrix.cc inner loops, moved behind the dispatch table unchanged:
-// the `portable` level is the reference implementation every wider level is
-// parity-tested against, and the only level used when ADPA_SIMD_LEVEL=portable
-// or the CPU lacks AVX2.
+// Portable (plain C++) kernel level: the reference implementation every
+// wider level is parity-tested against, and the only level used when
+// ADPA_SIMD_LEVEL=portable or the CPU lacks AVX2. Its loops compute the
+// historical matrix.cc and sparse_matrix.cc results bit for bit. This file
+// also holds the packing helpers and the A^T*B slab sweep that every
+// level's dense GEMMs share (simd_kernels.h).
 
 #include <algorithm>
 #include <cstdint>
@@ -19,6 +20,11 @@ namespace {
 constexpr int64_t kGemmMr = 4;
 constexpr int64_t kGemmNr = 32;
 
+// Register tile of the A^T*B kernel: kAtP output rows (columns p of a) by
+// kAtJ output columns.
+constexpr int64_t kAtP = 4;
+constexpr int64_t kAtJ = 32;
+
 // Feature-dimension block of the CSR SpMM kernels: the output row slice and
 // the gathered dense-row slices stay L1-resident while a row panel reuses
 // its neighbours. Blocking changes only the traversal, never the per-element
@@ -26,48 +32,32 @@ constexpr int64_t kGemmNr = 32;
 // sweep.
 constexpr int64_t kSpmmColBlock = 1024;
 
-// Per-thread packing buffer for the B column slab; capacity persists across
-// calls so steady-state GEMMs do not allocate.
-std::vector<double>& SlabScratch() {
-  thread_local std::vector<double> slab;
-  return slab;
-}
-
-}  // namespace
-
-// Computes output rows [i_begin, i_end) of a*b from a pre-widened `a`
-// (`ad`, row-major n x k doubles) and the original float `b`. Iterates
-// column slabs of kGemmNr, packing each slab into a zero-padded k x kGemmNr
-// double buffer (stays L2-resident across the row panels), then runs the
-// register-tiled micro-kernel. Every output element is the sequential-k
+// Rows [i_begin, i_end) of a times the k x m operand whose element (p, j)
+// is b[p*p_stride + j*j_stride]. The operand is packed once into kGemmNr-
+// column double slabs; each kGemmMr-row panel of `a` is widened once and
+// then swept over every slab. Every output element is the sequential-k
 // double dot product of its row and column, independent of the
 // [i_begin, i_end) partition — so any chunking of rows over threads
 // produces bitwise-identical results.
-void GemmRowsPortable(const float* a, const double* ad, const float* b,
-                      int64_t i_begin, int64_t i_end, int64_t k, int64_t m,
-                      float* out) {
-  (void)a;  // this level accumulates from the pre-widened operand
-  std::vector<double>& slab_buf = SlabScratch();
-  slab_buf.resize(k * kGemmNr);  // analyze:allow(alloc): thread_local slab capacity reuse
-  double* slab = slab_buf.data();
+void GemmRowsStrided(const float* a, const float* b, int64_t p_stride,
+                     int64_t j_stride, int64_t i_begin, int64_t i_end,
+                     int64_t k, int64_t m, float* out) {
   const int64_t num_slabs = (m + kGemmNr - 1) / kGemmNr;
-  for (int64_t s = 0; s < num_slabs; ++s) {
-    const int64_t j0 = s * kGemmNr;
-    const int64_t width = std::min<int64_t>(kGemmNr, m - j0);
-    for (int64_t p = 0; p < k; ++p) {
-      const float* b_row = b + p * m + j0;
-      double* dst = slab + p * kGemmNr;
-      int64_t l = 0;
-      for (; l < width; ++l) dst[l] = b_row[l];
-      for (; l < kGemmNr; ++l) dst[l] = 0.0;  // padded lanes are discarded
-    }
-    int64_t i0 = i_begin;
-    for (; i0 + kGemmMr <= i_end; i0 += kGemmMr) {
+  double* slabs = ScratchDoubles(0, num_slabs * k * kGemmNr);
+  PackColumnPanels(b, p_stride, j_stride, k, m, kGemmNr, slabs);
+  double* panel = ScratchDoubles(1, kGemmMr * k);
+  int64_t i0 = i_begin;
+  for (; i0 + kGemmMr <= i_end; i0 += kGemmMr) {
+    WidenRows(a + i0 * k, kGemmMr * k, panel);
+    const double* a0 = panel + 0 * k;
+    const double* a1 = panel + 1 * k;
+    const double* a2 = panel + 2 * k;
+    const double* a3 = panel + 3 * k;
+    for (int64_t s = 0; s < num_slabs; ++s) {
+      const int64_t j0 = s * kGemmNr;
+      const int64_t width = std::min<int64_t>(kGemmNr, m - j0);
+      const double* slab = slabs + s * k * kGemmNr;
       double c[kGemmMr][kGemmNr] = {};
-      const double* a0 = ad + (i0 + 0) * k;
-      const double* a1 = ad + (i0 + 1) * k;
-      const double* a2 = ad + (i0 + 2) * k;
-      const double* a3 = ad + (i0 + 3) * k;
       for (int64_t p = 0; p < k; ++p) {
         const double* b_row = slab + p * kGemmNr;
         const double av0 = a0[p], av1 = a1[p], av2 = a2[p], av3 = a3[p];
@@ -86,14 +76,19 @@ void GemmRowsPortable(const float* a, const double* ad, const float* b,
         }
       }
     }
-    // Row tail (< kGemmMr rows): single-row micro-kernel. Per element this
-    // is the same sequential-k FMA chain as the 4-row kernel, so a row
-    // lands on the same bits whichever path computes it.
-    for (; i0 < i_end; ++i0) {
+  }
+  // Row tail (< kGemmMr rows): single-row micro-kernel. Per element this
+  // is the same sequential-k chain as the 4-row kernel, so a row lands on
+  // the same bits whichever path computes it.
+  for (; i0 < i_end; ++i0) {
+    WidenRows(a + i0 * k, k, panel);
+    for (int64_t s = 0; s < num_slabs; ++s) {
+      const int64_t j0 = s * kGemmNr;
+      const int64_t width = std::min<int64_t>(kGemmNr, m - j0);
+      const double* slab = slabs + s * k * kGemmNr;
       double c1[kGemmNr] = {};
-      const double* a_row = ad + i0 * k;
       for (int64_t p = 0; p < k; ++p) {
-        const double av = a_row[p];
+        const double av = panel[p];
         const double* b_row = slab + p * kGemmNr;
         for (int64_t l = 0; l < kGemmNr; ++l) c1[l] += av * b_row[l];
       }
@@ -105,16 +100,112 @@ void GemmRowsPortable(const float* a, const double* ad, const float* b,
   }
 }
 
-double DotPortable(const float* a, const float* b, int64_t k) {
-  double acc = 0.0;
-  for (int64_t p = 0; p < k; ++p) {
-    acc += static_cast<double>(a[p]) * b[p];
+// One kAtP x kAtJ tile of the A^T*B sum over a slab of `rows` rows: the
+// zero skip is a branch, exactly the historical loop's.
+void AtTilePortable(const double* a_tile, int64_t a_stride,
+                    const double* b_slab, int64_t b_stride, int64_t rows,
+                    double* acc, int64_t acc_stride) {
+  double c[kAtP][kAtJ];
+  for (int64_t r = 0; r < kAtP; ++r) {
+    for (int64_t l = 0; l < kAtJ; ++l) c[r][l] = acc[r * acc_stride + l];
   }
-  return acc;
+  for (int64_t i = 0; i < rows; ++i) {
+    const double* b_row = b_slab + i * b_stride;
+    for (int64_t r = 0; r < kAtP; ++r) {
+      const double w = a_tile[i * a_stride + r];
+      if (w == 0.0) continue;
+      for (int64_t l = 0; l < kAtJ; ++l) c[r][l] += w * b_row[l];
+    }
+  }
+  for (int64_t r = 0; r < kAtP; ++r) {
+    for (int64_t l = 0; l < kAtJ; ++l) acc[r * acc_stride + l] = c[r][l];
+  }
 }
 
-void AxpyWidePortable(double w, const float* x, int64_t m, double* acc) {
-  for (int64_t j = 0; j < m; ++j) acc[j] += w * x[j];
+}  // namespace
+
+double* ScratchDoubles(int slot, int64_t count) {
+  thread_local std::vector<double> buffers[kScratchSlots];
+  std::vector<double>& buffer = buffers[slot];
+  buffer.resize(static_cast<size_t>(count));  // analyze:allow(alloc): thread_local capacity reuse
+  return buffer.data();
+}
+
+void WidenRows(const float* src, int64_t count, double* dst) {
+  for (int64_t i = 0; i < count; ++i) dst[i] = src[i];
+}
+
+void PackColumnPanels(const float* b, int64_t p_stride, int64_t j_stride,
+                      int64_t k, int64_t m, int64_t width, double* panels) {
+  const int64_t num_panels = (m + width - 1) / width;
+  for (int64_t q = 0; q < num_panels; ++q) {
+    double* panel = panels + q * k * width;
+    for (int64_t l = 0; l < width; ++l) {
+      const int64_t j = q * width + l;
+      if (j < m) {
+        const float* src = b + j * j_stride;
+        for (int64_t p = 0; p < k; ++p) panel[p * width + l] = src[p * p_stride];
+      } else {
+        for (int64_t p = 0; p < k; ++p) panel[p * width + l] = 0.0;
+      }
+    }
+  }
+}
+
+void GemmAtRowsTiled(const float* a, const float* b, int64_t n, int64_t k,
+                     int64_t m, int64_t p_begin, int64_t p_end, float* out,
+                     int64_t tile_p, int64_t tile_j, AtTileFn tile) {
+  const int64_t cols = p_end - p_begin;
+  const int64_t tiles = (cols + tile_p - 1) / tile_p;
+  const int64_t acc_rows = tiles * tile_p;
+  const int64_t m_pad = (m + tile_j - 1) / tile_j * tile_j;
+  double* acc = ScratchDoubles(0, acc_rows * m_pad);
+  double* b_slab = ScratchDoubles(1, kAtSlabRows * m_pad);
+  double* a_slab = ScratchDoubles(2, kAtSlabRows * acc_rows);
+  std::fill(acc, acc + acc_rows * m_pad, 0.0);
+  for (int64_t i0 = 0; i0 < n; i0 += kAtSlabRows) {
+    const int64_t rows = std::min(kAtSlabRows, n - i0);
+    // Padding reads as 0: padded b columns add nothing, and padded a
+    // columns are dropped by the zero skip.
+    for (int64_t i = 0; i < rows; ++i) {
+      double* b_dst = b_slab + i * m_pad;
+      WidenRows(b + (i0 + i) * m, m, b_dst);
+      std::fill(b_dst + m, b_dst + m_pad, 0.0);
+      double* a_dst = a_slab + i * acc_rows;
+      WidenRows(a + (i0 + i) * k + p_begin, cols, a_dst);
+      std::fill(a_dst + cols, a_dst + acc_rows, 0.0);
+    }
+    for (int64_t j0 = 0; j0 < m_pad; j0 += tile_j) {
+      for (int64_t t = 0; t < tiles; ++t) {
+        tile(a_slab + t * tile_p, acc_rows, b_slab + j0, m_pad, rows,
+             acc + t * tile_p * m_pad + j0, m_pad);
+      }
+    }
+  }
+  for (int64_t p = p_begin; p < p_end; ++p) {
+    const double* acc_row = acc + (p - p_begin) * m_pad;
+    float* out_row = out + p * m;
+    for (int64_t j = 0; j < m; ++j) out_row[j] = static_cast<float>(acc_row[j]);
+  }
+}
+
+void GemmRowsPortable(const float* a, const float* b, int64_t i_begin,
+                      int64_t i_end, int64_t k, int64_t m, float* out) {
+  GemmRowsStrided(a, b, m, 1, i_begin, i_end, k, m, out);
+}
+
+// The portable dot chain is the plain increasing-p one, the GEMM's, so
+// a*bᵀ is the GEMM over bᵀ read in place of b.
+void GemmBtRowsPortable(const float* a, const float* b, int64_t i_begin,
+                        int64_t i_end, int64_t k, int64_t m, float* out) {
+  GemmRowsStrided(a, b, 1, k, i_begin, i_end, k, m, out);
+}
+
+void GemmAtRowsPortable(const float* a, const float* b, int64_t n, int64_t k,
+                        int64_t m, int64_t p_begin, int64_t p_end,
+                        float* out) {
+  GemmAtRowsTiled(a, b, n, k, m, p_begin, p_end, out, kAtP, kAtJ,
+                  AtTilePortable);
 }
 
 void SpmmRowsPortable(const int64_t* row_ptr, const int32_t* col_idx,
@@ -199,7 +290,7 @@ void CopyPortable(float* dst, const float* src, int64_t n) {
 }
 
 const KernelTable kPortableTable = {
-    GemmRowsPortable, DotPortable,      AxpyWidePortable,
+    GemmRowsPortable, GemmBtRowsPortable, GemmAtRowsPortable,
     SpmmRowsPortable, SpmmAxpbyRowsPortable,
     AddPortable,      SubPortable,      MulPortable,
     ScalePortable,    AxpyPortable,     ScaleToPortable,

@@ -173,48 +173,22 @@ std::string Matrix::ToString(int max_rows, int max_cols) const {
   return out.str();
 }
 
-namespace {
-
-// Per-thread widening scratch: MatMul converts `a` to double here once per
-// call, and steady-state calls of the same shape never allocate.
-std::vector<double>& WidenScratch() {
-  thread_local std::vector<double> scratch;
-  return scratch;
-}
-
-// Widens a float buffer into the calling thread's scratch, in parallel.
-// Pure per-element conversion, so trivially thread-count independent.
-const double* WidenToDouble(const float* src, int64_t count) {
-  std::vector<double>& buf = WidenScratch();
-  buf.resize(count);  // analyze:allow(alloc): thread_local widen scratch capacity reuse
-  double* dst = buf.data();
-  ParallelFor(0, count, kElementwiseGrain, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) dst[i] = src[i];
-  });
-  return dst;
-}
-
-}  // namespace
-
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
   ADPA_CHECK_EQ(a.cols(), b.rows());
   ADPA_CHECK(out != &a && out != &b);
   out->Resize(a.rows(), b.cols());
   const int64_t n = a.rows(), k = a.cols(), m = b.cols();
   if (n == 0 || k == 0 || m == 0) return;
-  const double* ad = WidenToDouble(a.data(), n * k);
   const simd::KernelTable& kernels = simd::Kernels();
-  const float* b_data = b.data();
-  float* out_data = out->data();
   // Partition over output rows. Every level's gemm_rows computes each
-  // output element as the same sequential-k chain whichever micro-kernel
-  // path (full tile or row tail) covers its row, so any row partition —
-  // and any thread count — produces bitwise-identical results. The grain
-  // keeps ~kMinCostPerChunk FLOPs per chunk (2*k*m per row).
+  // output element as the same chain whichever micro-kernel path (full
+  // tile or row tail) covers its row, so any row partition — and any
+  // thread count — produces bitwise-identical results. The grain keeps
+  // ~kMinCostPerChunk FLOPs per chunk (2*k*m per row).
   ParallelFor(0, n, GrainForCost(2 * k * m),
               [&](int64_t row_begin, int64_t row_end) {
-                kernels.gemm_rows(a.data(), ad, b_data, row_begin, row_end, k,
-                                  m, out_data);
+                kernels.gemm_rows(a.data(), b.data(), row_begin, row_end, k,
+                                  m, out->data());
               });
 }
 
@@ -231,38 +205,18 @@ Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
   if (n == 0 || k == 0 || m == 0) return out;
   const simd::KernelTable& kernels = simd::Kernels();
   // Partition over fixed-size blocks of output rows (columns p of `a`).
-  // Each block sweeps all n inputs once, accumulating its block x m tile in
-  // a local double scratch; p-order within a block and i-order within a
-  // sweep are fixed, so results do not depend on the thread count.
+  // Each output element sums over all n inputs in increasing order
+  // whichever chunk computes it, so results do not depend on the thread
+  // count.
   constexpr int64_t kBlock = 32;
   const int64_t num_blocks = (k + kBlock - 1) / kBlock;
   ParallelFor(0, num_blocks, GrainForCost(2 * n * kBlock * m),
               [&](int64_t block_begin, int64_t block_end) {
-    std::vector<double> acc(kBlock * m);
-    for (int64_t blk = block_begin; blk < block_end; ++blk) {
-      const int64_t p0 = blk * kBlock;
-      const int64_t p1 = std::min(p0 + kBlock, k);
-      std::fill(acc.begin(), acc.begin() + (p1 - p0) * m, 0.0);
-      for (int64_t i = 0; i < n; ++i) {
-        const float* a_row = a.Row(i);
-        const float* b_row = b.Row(i);
-        for (int64_t p = p0; p < p1; ++p) {
-          const float a_ip = a_row[p];
-          // Skipping exact zeros (ReLU/dropout gradients are full of them)
-          // leaves the double accumulator bit-for-bit unchanged.
-          if (a_ip == 0.0f) continue;
-          kernels.axpy_wide(a_ip, b_row, m, acc.data() + (p - p0) * m);
-        }
-      }
-      for (int64_t p = p0; p < p1; ++p) {
-        float* out_row = out.Row(p);
-        const double* acc_row = acc.data() + (p - p0) * m;
-        for (int64_t j = 0; j < m; ++j) {
-          out_row[j] = static_cast<float>(acc_row[j]);
-        }
-      }
-    }
-  });
+                kernels.gemm_at_rows(a.data(), b.data(), n, k, m,
+                                     block_begin * kBlock,
+                                     std::min(block_end * kBlock, k),
+                                     out.data());
+              });
   return out;
 }
 
@@ -272,16 +226,12 @@ Matrix MatMulTransposeB(const Matrix& a, const Matrix& b) {
   const int64_t n = a.rows(), k = a.cols(), m = b.rows();
   if (n == 0 || k == 0 || m == 0) return out;
   const simd::KernelTable& kernels = simd::Kernels();
+  // Partition over output rows; each element's chain is fixed by k alone.
   ParallelFor(0, n, GrainForCost(2 * k * m),
               [&](int64_t row_begin, int64_t row_end) {
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      const float* a_row = a.Row(i);
-      float* out_row = out.Row(i);
-      for (int64_t j = 0; j < m; ++j) {
-        out_row[j] = static_cast<float>(kernels.dot(a_row, b.Row(j), k));
-      }
-    }
-  });
+                kernels.gemm_bt_rows(a.data(), b.data(), row_begin, row_end,
+                                     k, m, out.data());
+              });
   return out;
 }
 

@@ -148,18 +148,19 @@ class Matrix {
 
 /// Dense matmul family.
 ///
-/// Precision contract: every member accumulates each output element in a
-/// `double`, scanning the contraction dimension in increasing index order,
-/// with a single final round to float32. All members therefore share one
-/// numerical behaviour (the seed kernels mixed float and double
-/// accumulators), and because work is partitioned over disjoint *output*
-/// panels, multithreaded results are bitwise identical to single-threaded
-/// ones for any thread count.
+/// Precision contract: every member accumulates each output element in
+/// double (the AVX-512 MatMul in double-folded float32 runs) and rounds it
+/// to float32 once. Each element's chain is a fixed function of the SIMD
+/// level and the shapes, stated per member below, and work is partitioned
+/// over disjoint *output* panels, so results are bitwise identical for any
+/// thread count. A product of two floats is exact in double, so FMA versus
+/// multiply-then-add never changes a bit; only the grouping of a sum does.
 
 /// out = a * b. Shapes must agree (a.cols == b.rows). Routed through the
-/// active SIMD level's micro-kernel (simd::Kernels().gemm_rows); see the
-/// KernelTable doc for the per-level accumulation discipline. Bitwise
-/// thread-count invariant at every level.
+/// active SIMD level's micro-kernel (simd::Kernels().gemm_rows). Element
+/// (i, j) at portable and AVX2: one double sum over p in increasing order
+/// (the two levels give the same bits). At AVX-512: float32 FMA runs of 128
+/// consecutive p, each run added to a double sum in run order.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
 /// MatMul writing into a caller-owned buffer (resized to a.rows x b.cols;
@@ -167,10 +168,16 @@ Matrix MatMul(const Matrix& a, const Matrix& b);
 /// `b`. Bitwise identical to MatMul.
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);
 
-/// out = aᵀ * b, computed without materializing aᵀ.
+/// out = aᵀ * b, computed without materializing aᵀ. Element (p, j) at
+/// every level: one double sum over rows i in increasing order that skips
+/// a[i][p] == 0, so every level gives the same bits.
 Matrix MatMulTransposeA(const Matrix& a, const Matrix& b);
 
-/// out = a * bᵀ, computed without materializing bᵀ.
+/// out = a * bᵀ, computed without materializing bᵀ. Element (i, j) is the
+/// level's dot chain of rows a_i and b_j (simd.h, KernelTable::
+/// gemm_bt_rows): one double sum over p in increasing order at portable,
+/// which makes it bitwise MatMul(a, bᵀ) there; at AVX2 and AVX-512, 8 and
+/// 16 double lanes over p mod L, folded in lane order, then the tail.
 Matrix MatMulTransposeB(const Matrix& a, const Matrix& b);
 
 /// Elementwise binary operations returning new matrices.

@@ -12,9 +12,11 @@ namespace adpa::simd {
 /// Determinism contract per level: every kernel fixes its per-output-element
 /// accumulation order as a function of shapes only, so results at one level
 /// are bitwise identical run-to-run and for any thread count. Levels may
-/// differ from each other in the low bits (FMA contraction, lane-widened
-/// accumulator splitting); cross-level agreement is verified by the
-/// rel-error parity suite (tests/simd_test.cc), not bit equality.
+/// differ from each other in the low bits (float32 runs in the AVX-512
+/// GEMM, lane-split dot chains in A*Bᵀ); cross-level agreement is verified
+/// by the rel-error parity suite (tests/simd_test.cc). The KernelTable docs
+/// state each dense GEMM's chain per level, and which of them agree bit
+/// for bit across levels.
 enum class Level {
   kPortable = 0,  ///< Plain C++ loops (the pre-dispatch kernels, unchanged).
   kAvx2 = 1,      ///< AVX2 + FMA, 256-bit lanes.
@@ -55,29 +57,49 @@ void SetLevel(Level level);
 /// the output range it is handed, so the ParallelFor partitioning done by
 /// the callers preserves the thread-count-invariance contract unchanged.
 struct KernelTable {
-  /// Dense GEMM panel: computes output rows [i_begin, i_end) of a*b.
-  /// `a` is the row-major n x k float input and `ad` the same matrix
-  /// pre-widened to double — both are always provided, and a level reads
-  /// whichever operand its accumulation scheme needs. `b` is row-major
-  /// k x m float; `out` row-major n x m, fully overwritten in the row range.
+  /// Dense GEMM panel (MatMul): computes output rows [i_begin, i_end) of
+  /// a*b. `a` is row-major n x k, `b` row-major k x m, `out` row-major
+  /// n x m, fully overwritten in the row range.
   ///
   /// Accumulation discipline: the portable and AVX2 levels accumulate each
-  /// output element in one double chain over the full contraction. The
-  /// AVX-512 level accumulates fixed 128-step runs in float32 FMAs and
-  /// folds each completed run into a double accumulator — the unbounded-k
-  /// direction still accumulates in double, at twice the FMA throughput.
-  /// Either way the order is a pure function of shapes, so every level is
-  /// bitwise thread-count invariant; levels differ only to rel-error.
-  void (*gemm_rows)(const float* a, const double* ad, const float* b,
-                    int64_t i_begin, int64_t i_end, int64_t k, int64_t m,
-                    float* out);
+  /// output element in one double chain over p = 0..k-1 in increasing
+  /// order (they widen `a` a row panel at a time). The AVX-512 level
+  /// accumulates fixed 128-step runs in float32 FMAs and folds each
+  /// completed run into a double accumulator — the unbounded-k direction
+  /// still accumulates in double, at twice the FMA throughput. Either way
+  /// the order is a pure function of shapes, so every level is bitwise
+  /// thread-count invariant. Portable and AVX2 give the same bits; AVX-512
+  /// differs from them to rel-error.
+  void (*gemm_rows)(const float* a, const float* b, int64_t i_begin,
+                    int64_t i_end, int64_t k, int64_t m, float* out);
 
-  /// Double-accumulated dot product of two float spans of length k.
-  double (*dot)(const float* a, const float* b, int64_t k);
+  /// A*Bᵀ panel (MatMulTransposeB): computes output rows [i_begin, i_end)
+  /// of a*bᵀ. `a` is row-major n x k, `b` row-major m x k, `out` row-major
+  /// n x m, fully overwritten in the row range.
+  ///
+  /// Element (i, j) is a lane-split double dot product of a_i and b_j with
+  /// L lanes — 1 at portable, 8 at AVX2, 16 at AVX-512: lane l sums the
+  /// terms p ≡ l (mod L) of the first floor(k/L)·L, in increasing p; the
+  /// result is 0.0 + lane 0 + … + lane L-1, then the remaining k mod L
+  /// terms in p order, rounded once to float. At L = 1 this is the plain
+  /// increasing-p chain, so portable MatMulTransposeB(a, b) equals
+  /// MatMul(a, bᵀ) bit for bit. Each level computes many elements at once
+  /// in register tiles but keeps every element's chain, so the bits depend
+  /// on the level and the shapes only (tests/gemm_oracle.h states the
+  /// chain as a per-element loop).
+  void (*gemm_bt_rows)(const float* a, const float* b, int64_t i_begin,
+                       int64_t i_end, int64_t k, int64_t m, float* out);
 
-  /// acc[j] += double(w) * x[j] for j in [0, m): the widened-accumulator
-  /// inner axpy of MatMulTransposeA.
-  void (*axpy_wide)(double w, const float* x, int64_t m, double* acc);
+  /// Aᵀ*B panel (MatMulTransposeA): computes output rows [p_begin, p_end)
+  /// of aᵀ*b. `a` is row-major n x k, `b` row-major n x m, `out` row-major
+  /// k x m, fully overwritten in the row range.
+  ///
+  /// Element (p, j) is one double sum over i = 0..n-1 in increasing order
+  /// that skips every a[i][p] == 0 (±0; the skip keeps an Inf or NaN in
+  /// `b` out of rows whose `a` entry is zero), rounded once to float. The
+  /// chain is the same at every level, so every level gives the same bits.
+  void (*gemm_at_rows)(const float* a, const float* b, int64_t n, int64_t k,
+                       int64_t m, int64_t p_begin, int64_t p_end, float* out);
 
   /// CSR SpMM over output rows [row_begin, row_end): overwrites
   /// out[r] = sum_p values[p] * dense[col_idx[p]] for each row. float32

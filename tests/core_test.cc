@@ -1,6 +1,9 @@
 // Tests for src/core: Status/Result, Rng, string utilities, and flags.
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -228,6 +231,47 @@ TEST(FlagsTest, MalformedNumberFallsBackToDefault) {
   EXPECT_EQ(flags.GetInt("epochs", 12), 12);
   EXPECT_EQ(flags.GetInt("threads", 3), 3);
   EXPECT_EQ(flags.GetDouble("lr", 0.01), 0.01);
+}
+
+TEST(ParseDecimalTest, AcceptsDigitsWithinTheRangeOnly) {
+  // Parsing only: the CLI feeds a rejected value to its usage path, never
+  // to a model, where a wrong bound would size a propagation or a layer.
+  constexpr int64_t kInt32Max = std::numeric_limits<int32_t>::max();
+  constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+  struct Case {
+    const char* text;
+    int64_t lo;
+    int64_t hi;
+    std::optional<int64_t> expected;
+  };
+  const Case cases[] = {
+      {"0", 0, kInt32Max, 0},
+      {"200", 0, kInt32Max, 200},
+      {"007", 0, kInt32Max, 7},
+      {"2147483647", 0, kInt32Max, kInt32Max},
+      {"2147483648", 0, kInt32Max, std::nullopt},
+      {"4294967299", 0, kInt32Max, std::nullopt},  // 2^32 + 3: an int cast reads 3
+      {"-1", 0, kInt32Max, std::nullopt},
+      {"+1", 0, kInt32Max, std::nullopt},
+      {"", 0, kInt32Max, std::nullopt},
+      {" 1", 0, kInt32Max, std::nullopt},
+      {"1 ", 0, kInt32Max, std::nullopt},
+      {"2.5", 0, kInt32Max, std::nullopt},
+      {"1e3", 0, kInt32Max, std::nullopt},
+      {"abc", 0, kInt32Max, std::nullopt},
+      {"1", 1, 5, 1},  // --order
+      {"5", 1, 5, 5},
+      {"0", 1, 5, std::nullopt},
+      {"6", 1, 5, std::nullopt},
+      {"7", 1, 5, std::nullopt},  // one digit past a one-digit bound
+      {"9223372036854775807", 0, kInt64Max, kInt64Max},
+      {"9223372036854775808", 0, kInt64Max, std::nullopt},  // past int64
+      {"99999999999999999999", 0, kInt64Max, std::nullopt},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(ParseDecimal(c.text, c.lo, c.hi), c.expected)
+        << '"' << c.text << "\" in " << c.lo << ".." << c.hi;
+  }
 }
 
 }  // namespace

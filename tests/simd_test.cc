@@ -12,7 +12,10 @@
 //      Multiply + ScaleInPlace + AddScaledInPlace sequence at every level;
 //   4. elementwise kernels (independent one-op-per-element loops) are
 //      bitwise identical across ALL levels;
-//   5. the full InferenceSession forward obeys 1 and 2 end to end.
+//   5. the full InferenceSession forward obeys 1 and 2 end to end;
+//   6. the backward GEMM layouts keep their per-element chains: at every
+//      level and thread count MatMulTransposeA and MatMulTransposeB equal
+//      the per-element loops of tests/gemm_oracle.h bit for bit.
 //
 // Plus behavioral tests for the simd:: API surface and the serve-path
 // Workspace slot pool.
@@ -35,6 +38,7 @@
 #include "src/tensor/simd.h"
 #include "src/tensor/workspace.h"
 #include "src/train/trainer.h"
+#include "tests/gemm_oracle.h"
 
 namespace adpa {
 namespace {
@@ -182,6 +186,102 @@ TEST(SimdTest, DenseMatMulFamilyAgreesAcrossLevels) {
     EXPECT_LT(MaxRelError(MatMulTransposeB(a, bt), tb_ref), 1e-6)
         << simd::LevelName(level);
   }
+}
+
+/// Inputs that tell accumulation chains apart. Random normals cannot:
+/// after the final round to float, two double chains almost always agree.
+enum class GemmInput { kRandom, kReluZeroed, kCancelling };
+
+Matrix MakeGemmInput(int64_t rows, int64_t cols, GemmInput kind, Rng* rng) {
+  Matrix out = Matrix::RandomNormal(rows, cols, rng);
+  for (int64_t i = 0; i < out.size(); ++i) {
+    float& v = out.data()[i];
+    const double u = rng->Uniform();
+    if (kind == GemmInput::kReluZeroed && v < 0.0f) {
+      v = u < 0.5 ? 0.0f : -0.0f;  // exact zeros of both signs
+    } else if (kind == GemmInput::kCancelling && u < 0.5) {
+      // ±2^30: products of 2^60 cancel, and which small terms share a
+      // partial sum with them decides the rounded result.
+      v = u < 0.25 ? 1073741824.0f : -1073741824.0f;
+    }
+  }
+  return out;
+}
+
+TEST(SimdTest, BackwardGemmsMatchTheOracleBitwise) {
+  DispatchGuard guard;
+  Rng rng(23);
+  const std::vector<simd::Level> levels = simd::SupportedLevels();
+  int failures = 0;
+  auto expect_bitwise = [&](const Matrix& got, const Matrix& want,
+                            const char* what, simd::Level level, int threads,
+                            int64_t n, int64_t k, int64_t m, int kind) {
+    if (BitwiseEqual(got, want)) return;
+    if (++failures <= 10) {
+      ADD_FAILURE() << what << " at " << simd::LevelName(level) << ", "
+                    << threads << " threads, n=" << n << " k=" << k
+                    << " m=" << m << " input " << kind;
+    }
+  };
+  // Every tail of every level: k around the 8 and 16 dot lanes, m around
+  // the 4/8/16/32-column panels, n around the row tiles. n = 1100 is past
+  // two row grains at k = 67, so MatMulTransposeB is split over threads
+  // too; MatMulTransposeA splits whenever k spans two 32-column blocks.
+  for (int64_t n : {1, 3, 17, 300, 1100}) {
+    for (int64_t k : {1, 7, 8, 15, 16, 17, 64, 67}) {
+      for (int64_t m : {1, 7, 8, 9, 31, 32, 33, 64}) {
+        if (n == 1100 && (k != 67 || (m != 9 && m != 64))) continue;
+        for (GemmInput kind : {GemmInput::kRandom, GemmInput::kReluZeroed,
+                               GemmInput::kCancelling}) {
+          const Matrix a = MakeGemmInput(n, k, kind, &rng);
+          const Matrix bt = MakeGemmInput(m, k, kind, &rng);  // a * btᵀ
+          const Matrix b = MakeGemmInput(n, m, kind, &rng);   // aᵀ * b
+          const Matrix want_at = oracle::MatMulTransposeA(a, b);
+          std::vector<Matrix> want_bt;
+          for (simd::Level level : levels) {
+            want_bt.push_back(
+                oracle::MatMulTransposeB(a, bt, oracle::DotLanes(level)));
+          }
+          const int kind_id = static_cast<int>(kind);
+          for (int threads : {1, 2, 4}) {
+            SetNumThreads(threads);
+            for (size_t l = 0; l < levels.size(); ++l) {
+              simd::SetLevel(levels[l]);
+              expect_bitwise(MatMulTransposeA(a, b), want_at,
+                             "MatMulTransposeA", levels[l], threads, n, k, m,
+                             kind_id);
+              expect_bitwise(MatMulTransposeB(a, bt), want_bt[l],
+                             "MatMulTransposeB", levels[l], threads, n, k, m,
+                             kind_id);
+            }
+          }
+          // Properties the kernels keep: MatMulTransposeA is one chain at
+          // every level; at portable the A*Bᵀ chain is MatMul's; and MatMul
+          // at AVX2 is portable's sequential chain (AVX-512 MatMul is not).
+          SetNumThreads(1);
+          simd::SetLevel(simd::Level::kPortable);
+          const Matrix bt_t = bt.Transposed();
+          const Matrix portable_at = MatMulTransposeA(a, b);
+          const Matrix portable_mm = MatMul(a, bt_t);
+          expect_bitwise(MatMulTransposeB(a, bt), portable_mm,
+                         "portable MatMulTransposeB vs MatMul(a, bᵀ)",
+                         simd::Level::kPortable, 1, n, k, m, kind_id);
+          for (simd::Level level : levels) {
+            simd::SetLevel(level);
+            expect_bitwise(MatMulTransposeA(a, b), portable_at,
+                           "MatMulTransposeA vs portable", level, 1, n, k, m,
+                           kind_id);
+            if (level == simd::Level::kAvx2) {
+              expect_bitwise(MatMul(a, bt_t), portable_mm,
+                             "AVX2 MatMul vs portable", level, 1, n, k, m,
+                             kind_id);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(failures, 0);
 }
 
 TEST(SimdTest, SpmmAndFusedChainAreThreadCountInvariantPerLevel) {

@@ -28,7 +28,10 @@
 //       the same thread count the final weights are bitwise identical to an
 //       uninterrupted run.
 
+#include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "src/amud/amud.h"
@@ -52,14 +55,31 @@ int Fail(const Status& status) {
   return 1;
 }
 
+/// The integer flag `name` read through ParseDecimal: `fallback` when it is
+/// unset, nullopt (after an error line) when it is not a decimal in
+/// [lo, hi].
+std::optional<int64_t> CountFlag(const Flags& flags, const char* name,
+                                 int64_t fallback, int64_t lo, int64_t hi) {
+  if (!flags.Has(name)) return fallback;
+  const std::string text = flags.GetString(name, "");
+  const std::optional<int64_t> value = ParseDecimal(text, lo, hi);
+  if (!value.has_value()) {
+    std::fprintf(stderr, "error: --%s=%s is not an integer in %lld..%lld\n",
+                 name, text.c_str(), static_cast<long long>(lo),
+                 static_cast<long long>(hi));
+  }
+  return value;
+}
+
 int Usage() {
   std::fprintf(stderr,
                "usage: adpa_cli <generate|analyze|train> [--flags]\n"
                "  generate --name=<benchmark> [--seed=N --scale=F] --out=F\n"
                "  analyze  --in=<file>\n"
                "  train    --in=<file> --model=<name> [--undirect]\n"
-               "           [--epochs=N --hidden=N --steps=N --order=N "
-               "--lr=F --seed=N --check_finite]\n"
+               "           [--epochs=N --patience=N --hidden=N --steps=N "
+               "--order=N\n"
+               "            --lr=F --seed=N --check_finite]\n"
                "           [--save_checkpoint=F | --load_checkpoint=F]\n"
                "           [--checkpoint_every=N --checkpoint_path=F]\n"
                "           [--resume_from=F]\n"
@@ -131,6 +151,28 @@ int Train(const Flags& flags) {
   const std::string in = flags.GetString("in", "");
   const std::string model_name = flags.GetString("model", "ADPA");
   if (in.empty()) return Usage();
+  // Bounded before anything runs: counts stay ints, and a model's width and
+  // step count stay within what a checkpoint can hold, so every model
+  // trained here can be saved and loaded again.
+  constexpr int64_t kMaxCount = std::numeric_limits<int32_t>::max();
+  constexpr int64_t kMaxPatternOrder = 5;  // ModelConfig::pattern_order
+  const CheckpointLimits limits;
+  const std::optional<int64_t> hidden =
+      CountFlag(flags, "hidden", 64, 1, limits.max_hidden_dim);
+  const std::optional<int64_t> steps =
+      CountFlag(flags, "steps", 2, 0, limits.max_propagation_steps);
+  const std::optional<int64_t> order =
+      CountFlag(flags, "order", 2, 1, kMaxPatternOrder);
+  const std::optional<int64_t> epochs =
+      CountFlag(flags, "epochs", 200, 0, kMaxCount);
+  const std::optional<int64_t> patience =
+      CountFlag(flags, "patience", 30, 0, kMaxCount);
+  const std::optional<int64_t> checkpoint_every =
+      CountFlag(flags, "checkpoint_every", 0, 0, kMaxCount);
+  if (!hidden || !steps || !order || !epochs || !patience ||
+      !checkpoint_every) {
+    return Usage();
+  }
   Result<Dataset> dataset = LoadDataset(in);
   if (!dataset.ok()) return Fail(dataset.status());
   Dataset input = flags.GetBool("undirect", false)
@@ -191,23 +233,21 @@ int Train(const Flags& flags) {
     train_config.resume_from = resume_path;
     // Keep snapshotting into the same file by default: a run that survived
     // one interruption should stay crash-safe without re-plumbing flags.
-    train_config.checkpoint_every =
-        static_cast<int>(flags.GetInt("checkpoint_every", 0));
+    train_config.checkpoint_every = static_cast<int>(*checkpoint_every);
     train_config.checkpoint_path =
         flags.GetString("checkpoint_path", resume_path);
   } else {
-    config.hidden = flags.GetInt("hidden", 64);
-    config.propagation_steps = static_cast<int>(flags.GetInt("steps", 2));
-    config.pattern_order = static_cast<int>(flags.GetInt("order", 2));
+    config.hidden = *hidden;
+    config.propagation_steps = static_cast<int>(*steps);
+    config.pattern_order = static_cast<int>(*order);
     config.dropout = static_cast<float>(flags.GetDouble("dropout", 0.5));
     model = CreateModel(resolved_model_name, input, config, &rng);
-    train_config.max_epochs = static_cast<int>(flags.GetInt("epochs", 200));
-    train_config.patience = static_cast<int>(flags.GetInt("patience", 30));
+    train_config.max_epochs = static_cast<int>(*epochs);
+    train_config.patience = static_cast<int>(*patience);
     train_config.learning_rate =
         static_cast<float>(flags.GetDouble("lr", 0.01));
     train_config.check_finite = flags.GetBool("check_finite", false);
-    train_config.checkpoint_every =
-        static_cast<int>(flags.GetInt("checkpoint_every", 0));
+    train_config.checkpoint_every = static_cast<int>(*checkpoint_every);
     train_config.checkpoint_path = flags.GetString("checkpoint_path", "");
   }
   if (!model.ok()) return Fail(model.status());

@@ -7,6 +7,11 @@
 # TCP sustained-load rows (load_bench, `"transport": "tcp"` with the
 # headline `sustained_qps_at_slo` under `slo_p99_ms`).
 #
+# The kernel rows include the Eq. 10 fusion GEMM of perfbench's train graph
+# in all three layouts (BM_FusionMatMul*: forward X·W, dX = dY·Wᵀ,
+# dW = Xᵀ·dY) at every level and at 1, 2 and 4 threads, and one ADPA
+# training step (BM_AdpaTrainEpoch).
+#
 # Provenance guard: both binaries self-report whether THIS code was compiled
 # with NDEBUG ("adpa_build_type" in the google-benchmark context,
 # "build_type" in serve_bench's report). Numbers from a debug or sanitizer
@@ -53,8 +58,26 @@ if [ ! -x "$BENCH_BIN" ]; then
   exit 1
 fi
 
+# Host provenance: a row that asks for more threads than the host has CPUs
+# times the scheduler, not the kernel, so such rows are refused (left out,
+# and named on stderr); the CPU count goes into the report's context as
+# "adpa_nproc".
+NPROC="$(getconf _NPROCESSORS_ONLN)"
+FILTER='BM_(MatMulSeedKernel512|MatMulBlocked512|MatMulDispatch512|SpMM|DenseMatMul|DpPropagation|HopChainUnfused|HopChainFused|FusionMatMul|AdpaTrainEpoch)'
+ROWS=""
+for row in $("$BENCH_BIN" --benchmark_list_tests=true \
+               --benchmark_filter="$FILTER"); do
+  threads="$(printf '%s\n' "$row" | sed -n 's/.*threads:\([0-9]*\).*/\1/p')"
+  if [ -n "$threads" ] && [ "$threads" -gt "$NPROC" ]; then
+    echo "refused: $row (host has $NPROC CPUs)" >&2
+  else
+    ROWS="${ROWS:+$ROWS|}$row"
+  fi
+done
+
 "$BENCH_BIN" \
-  --benchmark_filter='BM_(MatMulSeedKernel512|MatMulBlocked512|MatMulDispatch512|SpMM|DenseMatMul|DpPropagation|HopChainUnfused|HopChainFused)' \
+  --benchmark_filter="^($ROWS)\$" \
+  --benchmark_context="adpa_nproc=$NPROC" \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
   --benchmark_format=json > "$OUT_FILE"
