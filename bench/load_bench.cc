@@ -25,6 +25,9 @@
 // (rows carry `"transport": "tcp"`; the in-process serve_bench rows carry
 // `"transport": "in_process"`).
 //
+// The kernel pool defaults to 8 threads, or to the host's online CPUs when
+// it has fewer; the report records both the pool width and the CPU count.
+//
 //   load_bench [--name=Texas --scale=1.0 --nodes_per_request=8
 //               --requests_per_connection=1000 --open_loop_seconds=2
 //               --slo_p99_ms=2.0 --threads=8 --seed=1]
@@ -250,7 +253,10 @@ int Main(int argc, char** argv) {
       static_cast<int>(flags.GetInt("requests_per_connection", 1000));
   const double open_loop_seconds = flags.GetDouble("open_loop_seconds", 2.0);
   const double slo_p99_ms = flags.GetDouble("slo_p99_ms", 2.0);
-  const int threads = static_cast<int>(flags.GetInt("threads", 8));
+  const int nproc =
+      std::max(1, static_cast<int>(::sysconf(_SC_NPROCESSORS_ONLN)));
+  const int threads =
+      static_cast<int>(flags.GetInt("threads", std::min(8, nproc)));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
 
   Result<Dataset> dataset = BuildBenchmarkByName(name, seed, scale);
@@ -292,11 +298,12 @@ int Main(int argc, char** argv) {
   const char* build_type = "debug";
 #endif
   std::printf("{\n  \"bench\": \"serve_load\",\n  \"transport\": \"tcp\",\n"
-              "  \"build_type\": \"%s\",\n  \"simd_level\": \"%s\",\n"
+              "  \"build_type\": \"%s\",\n  \"nproc\": %d,\n"
+              "  \"simd_level\": \"%s\",\n"
               "  \"dataset\": \"%s\",\n  \"nodes\": %lld,\n"
               "  \"threads\": %d,\n  \"nodes_per_request\": %d,\n"
               "  \"slo_p99_ms\": %.2f,\n  \"closed_loop\": [\n",
-              build_type, simd::LevelName(simd::ActiveLevel()),
+              build_type, nproc, simd::LevelName(simd::ActiveLevel()),
               dataset->name.c_str(),
               static_cast<long long>(dataset->num_nodes()), threads,
               nodes_per_request, slo_p99_ms);

@@ -3,19 +3,24 @@
 // Builds a registry benchmark, snapshots a freshly initialized ADPA model
 // into a checkpoint (training does not change inference cost), then drives
 // the InferenceSession + MicroBatcher stack with bursts of point queries at
-// 1, 2, and 8 kernel threads: each burst is submitted, then flushed in one
-// go, as the serving loop does with the requests it read in one turn.
-// Emits a JSON report (BENCH_serve.json via tools/bench_to_json.sh):
-// per-thread-count p50/p99/mean request latency and sustained QPS over the
-// timed requests only.
+// 1, 2, and 8 kernel threads, leaving out any count above the host's online
+// CPUs (such a row would time oversubscription): each burst is submitted,
+// then flushed in one go, as the serving loop does with the requests it
+// read in one turn. Emits a JSON report (BENCH_serve.json via
+// tools/bench_to_json.sh): the host's CPU count, and per-thread-count
+// p50/p99/mean request latency and sustained QPS over the timed requests
+// only.
 //
 //   serve_bench [--name=Texas --scale=1.0 --requests=400
 //                --nodes_per_request=8 --burst=16 --seed=1]
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "src/core/flags.h"
 #include "src/core/logging.h"
@@ -127,18 +132,23 @@ int Main(int argc, char** argv) {
 #else
   const char* build_type = "debug";
 #endif
+  const int nproc =
+      std::max(1, static_cast<int>(::sysconf(_SC_NPROCESSORS_ONLN)));
   std::printf("{\n  \"bench\": \"serve\",\n  \"transport\": \"in_process\",\n"
-              "  \"build_type\": \"%s\",\n"
+              "  \"build_type\": \"%s\",\n  \"nproc\": %d,\n"
               "  \"simd_level\": \"%s\",\n  \"dataset\": \"%s\",\n"
               "  \"nodes\": %lld,\n  \"requests\": %d,\n"
               "  \"nodes_per_request\": %d,\n  \"burst\": %d,\n"
               "  \"runs\": [\n",
-              build_type, simd::LevelName(simd::ActiveLevel()),
+              build_type, nproc, simd::LevelName(simd::ActiveLevel()),
               dataset->name.c_str(),
               static_cast<long long>(dataset->num_nodes()), requests,
               nodes_per_request, burst);
-  const int thread_counts[] = {1, 2, 8};
-  for (size_t i = 0; i < 3; ++i) {
+  std::vector<int> thread_counts;
+  for (const int threads : {1, 2, 8}) {
+    if (threads <= nproc) thread_counts.push_back(threads);
+  }
+  for (size_t i = 0; i < thread_counts.size(); ++i) {
     const RunStats stats =
         RunAtThreadCount(*session, thread_counts[i], requests,
                          nodes_per_request, burst, seed + i);
@@ -146,7 +156,8 @@ int Main(int argc, char** argv) {
                 "\"mean_ms\": %.4f, \"qps\": %.1f, "
                 "\"mean_batch_requests\": %.2f}%s\n",
                 stats.threads, stats.p50_ms, stats.p99_ms, stats.mean_ms,
-                stats.qps, stats.mean_batch_requests, i + 1 < 3 ? "," : "");
+                stats.qps, stats.mean_batch_requests,
+                i + 1 < thread_counts.size() ? "," : "");
   }
   std::printf("  ]\n}\n");
   return 0;

@@ -381,14 +381,7 @@ void Server::HandleLine(Connection* conn, const std::string& line) {
   }
 }
 
-void Server::FlushQueue() {
-  if (batcher_.queue_depth() == 0) return;
-  // Pin the serving session for the whole flush: even a reload from
-  // another thread cannot release the model under an in-flight forward.
-  const std::shared_ptr<const serve::InferenceSession> session =
-      registry_->Current();
-  batcher_.Flush(session.get());
-}
+void Server::FlushQueue() { batcher_.Flush(registry_->Current()); }
 
 void Server::ResolvePending(Connection* conn) {
   while (!conn->pending.empty()) {

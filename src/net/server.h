@@ -77,19 +77,20 @@ struct ServerStats {
 /// epoll-based JSONL inference server (DESIGN.md §14).
 ///
 /// One thread runs Serve(): it owns every connection, the LineFramer per
-/// connection, and the batcher, so the network layer needs no locks at
-/// all — concurrency lives in the kernel (epoll) and in the ParallelFor
-/// worker pool under each coalesced forward. A connection is either a TCP
-/// client (Create) or the process's own stdin/stdout (CreateStdio); both
-/// run through the same loop and handlers. Clients write one JSONL request
-/// per line and read one reply line per request, in order, per connection.
-/// Requests read in one loop turn coalesce into shared batches through the
-/// MicroBatcher, keeping its queue-full reject and deadline-shed semantics
-/// per request.
+/// connection and the batcher, and while Serve() runs it also owns the
+/// SessionRegistry and ServeMetrics it was created with. So neither the
+/// network nor the serving layer needs a lock — concurrency lives in the
+/// kernel (epoll) and in the ParallelFor worker pool under each coalesced
+/// forward. A connection is either a TCP client (Create) or the process's
+/// own stdin/stdout (CreateStdio); both run through the same loop and
+/// handlers. Clients write one JSONL request per line and read one reply
+/// line per request, in order, per connection. Requests read in one loop
+/// turn coalesce into shared batches through the MicroBatcher, keeping its
+/// queue-full reject and deadline-shed semantics per request.
 ///
-/// Admin: {"reload": "path"} loads the checkpoint and atomically swaps it
-/// into the SessionRegistry; queries already received ahead of the reload
-/// are answered by the old session before the swap (the queue is flushed
+/// Admin: {"reload": "path"} loads the checkpoint and swaps it into the
+/// SessionRegistry; queries already received ahead of the reload are
+/// answered by the old session before the swap (the queue is flushed
 /// first), so every connection sees a clean old→new reply boundary.
 ///
 /// Shutdown: RequestStop() (or a signal handler writing 'T' to wake_fd())
@@ -211,8 +212,7 @@ class Server {
   void HandleReadable(int fd);
   void ProcessLines(Connection* conn);
   void HandleLine(Connection* conn, const std::string& line);
-  /// Answers everything queued, pinning the registry's current session
-  /// for the whole flush.
+  /// Answers everything queued with the registry's current session.
   void FlushQueue();
   void ResolvePending(Connection* conn);
   void FlushWrites(Connection* conn);

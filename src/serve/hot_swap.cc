@@ -7,15 +7,10 @@
 
 namespace adpa::serve {
 
-std::shared_ptr<const InferenceSession> SessionRegistry::Current() const {
-  MutexLock lock(&mu_);
-  return current_;
-}
-
 Result<SessionRegistry::ReloadInfo> SessionRegistry::Reload(
     const std::string& path) {
   // Everything slow — disk, CRC, propagation replay — happens before the
-  // lock; the critical section is just the pointer flip.
+  // flip; the old session serves until the new one is complete.
   ADPA_FAILPOINT("net.reload.load");
   Result<Checkpoint> checkpoint = TryLoadCheckpoint(path);
   if (!checkpoint.ok()) return checkpoint.status();
@@ -23,41 +18,21 @@ Result<SessionRegistry::ReloadInfo> SessionRegistry::Reload(
       InferenceSession::Create(*checkpoint, *dataset_);
   if (!session.ok()) return session.status();
 
+  current_ = std::make_unique<const InferenceSession>(std::move(*session));
+  path_ = path;
   ReloadInfo info;
   info.path = path;
   info.model_name = checkpoint->model_name;
-  auto next =
-      std::make_shared<const InferenceSession>(std::move(*session));
-  {
-    MutexLock lock(&mu_);
-    current_ = std::move(next);
-    path_ = path;
-    info.generation = ++generation_;
-  }
+  info.generation = ++generation_;
   return info;
 }
 
 Result<SessionRegistry::ReloadInfo> SessionRegistry::ReloadCurrent() {
-  std::string path;
-  {
-    MutexLock lock(&mu_);
-    path = path_;
-  }
-  if (path.empty()) {
+  if (path_.empty()) {
     return Status::FailedPrecondition(
         "no checkpoint has been loaded yet; nothing to re-read");
   }
-  return Reload(path);
-}
-
-std::string SessionRegistry::current_path() const {
-  MutexLock lock(&mu_);
-  return path_;
-}
-
-int64_t SessionRegistry::generation() const {
-  MutexLock lock(&mu_);
-  return generation_;
+  return Reload(std::string(path_));  // a copy: Reload assigns path_
 }
 
 }  // namespace adpa::serve

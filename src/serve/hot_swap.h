@@ -3,33 +3,24 @@
 #include <memory>
 #include <string>
 
-#include "src/core/mutex.h"
 #include "src/core/status.h"
-#include "src/core/thread_annotations.h"
 #include "src/serve/engine.h"
 
 namespace adpa::serve {
 
-/// Atomic hot checkpoint swap for live serving (DESIGN.md §14).
+/// Hot checkpoint swap for live serving (DESIGN.md §14).
 ///
-/// The registry owns the currently serving InferenceSession behind a
-/// shared_ptr. Readers (the serving loop, around each batcher flush) take a
-/// reference with Current() and keep the session alive for the whole flush;
-/// Reload() builds a replacement session off to the side — checkpoint read,
-/// CRC check, dataset-hash validation, Eq. 9 propagation — and only when
-/// the new session is fully constructed flips the pointer under the mutex.
-/// In-flight batches keep serving from the old session until their
-/// shared_ptr releases it; new batches pick up the new one. A reload that
-/// fails at any stage leaves the serving pointer
-/// untouched: the live session keeps answering, the error goes back to the
-/// admin client as a structured reply.
+/// The registry owns the one serving InferenceSession. Reload() builds a
+/// replacement off to the side — checkpoint read, CRC check, dataset-hash
+/// validation, Eq. 9 propagation — and only once it is fully constructed
+/// makes it current and destroys the old session. A reload that fails at
+/// any stage leaves the serving session untouched: it keeps answering, and
+/// the error goes back to the admin client as a structured reply.
 ///
-/// Thread safety: Current()/current_path()/generation() are safe from any
-/// thread. Concurrent Reload() calls are safe too — each builds its own
-/// candidate and the flips serialize on the mutex (last flip wins) — but
-/// the intended topology is simpler: the single-threaded network event loop
-/// (src/net/server.cc) is the only caller, so admin reload requests are
-/// naturally serialized in arrival order.
+/// One thread owns the registry: the thread running Server::Serve() while
+/// it runs, and the caller before Serve() starts and after it returns. The
+/// serving loop (src/net/server.cc) flushes its queue before every reload,
+/// so no batch is in flight when the old session is destroyed.
 class SessionRegistry {
  public:
   /// `dataset` must outlive the registry. EngineOptions is empty (see
@@ -37,9 +28,9 @@ class SessionRegistry {
   SessionRegistry(const Dataset* dataset, EngineOptions /*options*/)
       : dataset_(dataset) {}
 
-  /// The serving session; null until the first successful Reload.
-  std::shared_ptr<const InferenceSession> Current() const
-      ADPA_EXCLUDES(mu_);
+  /// The serving session; null until the first successful Reload. Valid
+  /// until the next successful Reload.
+  const InferenceSession* Current() const { return current_.get(); }
 
   struct ReloadInfo {
     std::string path;
@@ -48,27 +39,25 @@ class SessionRegistry {
     int64_t generation = 0;
   };
 
-  /// Loads `path` and, on success, atomically makes it the serving
-  /// session. On failure the previous session (if any) keeps serving.
+  /// Loads `path` and, on success, makes it the serving session. On
+  /// failure the previous session (if any) keeps serving.
   /// Failpoint `net.reload.load` fires before the checkpoint read.
-  ADPA_NODISCARD Result<ReloadInfo> Reload(const std::string& path)
-      ADPA_EXCLUDES(mu_);
+  ADPA_NODISCARD Result<ReloadInfo> Reload(const std::string& path);
 
   /// Re-reads the path of the last successful load — the SIGHUP action
   /// ("the checkpoint file was replaced on disk; pick it up").
-  ADPA_NODISCARD Result<ReloadInfo> ReloadCurrent() ADPA_EXCLUDES(mu_);
+  ADPA_NODISCARD Result<ReloadInfo> ReloadCurrent();
 
   /// Path of the last successful load ("" before the first).
-  std::string current_path() const ADPA_EXCLUDES(mu_);
-  int64_t generation() const ADPA_EXCLUDES(mu_);
+  const std::string& current_path() const { return path_; }
+  int64_t generation() const { return generation_; }
 
  private:
   const Dataset* const dataset_;
 
-  mutable Mutex mu_;
-  std::shared_ptr<const InferenceSession> current_ ADPA_GUARDED_BY(mu_);
-  std::string path_ ADPA_GUARDED_BY(mu_);
-  int64_t generation_ ADPA_GUARDED_BY(mu_) = 0;
+  std::unique_ptr<const InferenceSession> current_;
+  std::string path_;
+  int64_t generation_ = 0;
 };
 
 }  // namespace adpa::serve

@@ -150,6 +150,21 @@ class LintRuleTest(unittest.TestCase):
         # member-call/std::bind-style mentions never match.
         self.assertEqual(len(hits), 3)
 
+    def test_single_owner_fires_on_locks_in_serve_layer(self):
+        hits = [(line, rule) for p, line, rule in self.findings
+                if p == "src/serve/bad_lock.cc"]
+        self.assertEqual({rule for _, rule in hits}, {"single-owner"})
+        # The mutex.h include, both shared_ptr declarations, the MutexLock,
+        # the Mutex and the CondVar fire; the lint:allow'd shared_ptr, the
+        # unique_ptr and the comment naming a Mutex do not.
+        self.assertEqual(len(hits), 6)
+
+    def test_single_owner_fires_on_atomics_in_net_layer(self):
+        hits = [(line, rule) for p, line, rule in self.findings
+                if p == "src/net/bad_atomic.cc"]
+        # Only the std::atomic member fires, not the <atomic> include.
+        self.assertEqual(hits, [(9, "single-owner")])
+
     def test_allow_escape_hatch_suppresses_everything(self):
         self.assertEqual(rules_for(self.findings, "src/models/allowed.cc"), [])
 

@@ -317,7 +317,7 @@ TEST(SessionRegistryTest, EmptyUntilFirstLoadAndQueriesGetStructuredError) {
   serve::MicroBatcher batcher(nullptr, {});
   serve::MicroBatcher::Slot reply;
   batcher.Submit({0, 1}, /*deadline_ms=*/0, &reply);
-  batcher.Flush(registry.Current().get());
+  batcher.Flush(registry.Current());
   ASSERT_TRUE(reply.has_value());
   ASSERT_FALSE(reply->ok());
   EXPECT_EQ(reply->status().code(), StatusCode::kFailedPrecondition);
@@ -326,6 +326,17 @@ TEST(SessionRegistryTest, EmptyUntilFirstLoadAndQueriesGetStructuredError) {
 TEST(SessionRegistryTest, ReloadSwapsSessionAndBumpsGeneration) {
   SwapFixture fixture;
   serve::SessionRegistry registry(&fixture.dataset, serve::EngineOptions{});
+  const std::vector<int64_t> nodes{0, 3, 7, 11, 19, 23, 31, 42, 55, 59};
+  const std::string expected_a =
+      fixture.ExpectedReply(fixture.path_a, 1, nodes);
+  const std::string expected_b =
+      fixture.ExpectedReply(fixture.path_b, 1, nodes);
+  ASSERT_NE(expected_a, expected_b)
+      << "fixture checkpoints must classify differently";
+  auto current_reply = [&] {
+    return serve::FormatClassesReply(
+        1, std::move(registry.Current()->Classify(nodes)).value());
+  };
 
   Result<serve::SessionRegistry::ReloadInfo> info =
       registry.Reload(fixture.path_a);
@@ -333,30 +344,22 @@ TEST(SessionRegistryTest, ReloadSwapsSessionAndBumpsGeneration) {
   EXPECT_EQ(info->generation, 1);
   EXPECT_EQ(info->model_name, "ADPA");
   EXPECT_EQ(registry.current_path(), fixture.path_a);
-  const std::shared_ptr<const serve::InferenceSession> first =
-      registry.Current();
-  ASSERT_NE(first, nullptr);
+  ASSERT_NE(registry.Current(), nullptr);
+  EXPECT_EQ(current_reply(), expected_a);
 
   info = registry.Reload(fixture.path_b);
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->generation, 2);
   EXPECT_EQ(registry.current_path(), fixture.path_b);
-  const std::shared_ptr<const serve::InferenceSession> second =
-      registry.Current();
-  ASSERT_NE(second, nullptr);
-  EXPECT_NE(first.get(), second.get());
-
-  // The pinned old session keeps answering even though the registry moved
-  // on — this is what keeps in-flight batches safe across a swap.
-  EXPECT_TRUE(first->Classify({0, 1, 2}).ok());
+  ASSERT_NE(registry.Current(), nullptr);
+  EXPECT_EQ(current_reply(), expected_b);
 }
 
 TEST(SessionRegistryTest, FailedReloadKeepsOldSessionServing) {
   SwapFixture fixture;
   serve::SessionRegistry registry(&fixture.dataset, serve::EngineOptions{});
   ASSERT_TRUE(registry.Reload(fixture.path_a).ok());
-  const std::shared_ptr<const serve::InferenceSession> before =
-      registry.Current();
+  const serve::InferenceSession* const before = registry.Current();
 
   // Corrupt checkpoint: flip bytes in the middle of a copy of A.
   const std::string corrupt_path = UniquePath("corrupt");
@@ -372,6 +375,7 @@ TEST(SessionRegistryTest, FailedReloadKeepsOldSessionServing) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
   EXPECT_FALSE(registry.Reload(corrupt_path).ok());
+  EXPECT_EQ(registry.Current(), before);
 
   // Truncated checkpoint: same story.
   const std::string truncated_path = UniquePath("truncated");
@@ -383,10 +387,11 @@ TEST(SessionRegistryTest, FailedReloadKeepsOldSessionServing) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 3));
   }
   EXPECT_FALSE(registry.Reload(truncated_path).ok());
+  EXPECT_EQ(registry.Current(), before);
   EXPECT_FALSE(registry.Reload(UniquePath("missing")).ok());
 
   // Through every failure the registry never flipped.
-  EXPECT_EQ(registry.Current().get(), before.get());
+  EXPECT_EQ(registry.Current(), before);
   EXPECT_EQ(registry.generation(), 1);
   EXPECT_EQ(registry.current_path(), fixture.path_a);
   EXPECT_TRUE(registry.Current()->Classify({0}).ok());
@@ -638,6 +643,7 @@ TEST(NetServerTest, ReloadCanBeDisabled) {
   client.Send("{\"id\": 1, \"reload\": \"" + fixture.path_b + "\"}\n");
   const std::string reply = client.RecvLine();
   EXPECT_NE(reply.find("reload is disabled"), std::string::npos) << reply;
+  harness.Stop();
   EXPECT_EQ(harness.registry().generation(), 1);  // nothing swapped
 }
 
@@ -731,6 +737,7 @@ TEST(NetServerTest, CorruptReloadKeepsLiveSessionAnswering) {
   client.Send(Query(2, "0, 1"));
   EXPECT_EQ(client.RecvLine(),
             fixture.ExpectedReply(fixture.path_a, 2, {0, 1}));
+  harness.Stop();
   EXPECT_EQ(harness.registry().generation(), 1);
   EXPECT_EQ(harness.registry().current_path(), fixture.path_a);
 }
@@ -752,6 +759,7 @@ TEST(NetServerTest, ConcurrentAdminReloadsSerialize) {
   std::thread second(reload_loop, fixture.path_b);
   first.join();
   second.join();
+  harness.Stop();
 
   // Single-threaded event loop: every reload ran to completion in arrival
   // order, so the generation counter accounts for each one exactly once.
@@ -792,15 +800,19 @@ TEST(NetServerTest, RequestReloadReReadsCurrentPath) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
   harness.server().RequestReload();
-  // The wake is asynchronous; the generation bump marks completion.
-  for (int i = 0; i < 500 && harness.registry().generation() < 2; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_EQ(harness.registry().generation(), 2);
-
+  // The wake is asynchronous: a query can still beat it to the loop and
+  // get the old session's answer. Resend until the reply is B's.
   TestClient client(harness.port());
-  client.Send(Query(1, "0, 3, 7, 11, 19, 23, 31, 42, 55, 59"));
-  EXPECT_EQ(client.RecvLine(), expected_b);
+  std::string reply;
+  for (int i = 0; i < 500 && reply != expected_b; ++i) {
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    client.Send(Query(1, "0, 3, 7, 11, 19, 23, 31, 42, 55, 59"));
+    reply = client.RecvLine();
+  }
+  EXPECT_EQ(reply, expected_b);
+  harness.Stop();
+  EXPECT_EQ(harness.registry().generation(), 2);
+  EXPECT_EQ(harness.server().stats().reloads, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -999,17 +1011,22 @@ TEST(StdioServerSignalTest, ReloadAndStopWakeTheLoopWhileStdinStaysOpen) {
     to << from.rdbuf();
   }
   server->RequestReload();
-  for (int i = 0; i < 500 && registry.generation() < 2; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // Resend until the reply is B's: a query can reach the loop before the
+  // reload wake does.
+  const std::string expected_b =
+      fixture.ExpectedReply(fixture.path_b, 1, {0, 3, 7});
+  std::string reply;
+  for (int i = 0; i < 500 && reply != expected_b; ++i) {
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    WriteAll(in[1], Query(1, "0, 3, 7"));
+    reply = ReadLineFromPipe(out[0]);
   }
-  ASSERT_EQ(registry.generation(), 2);
-  WriteAll(in[1], Query(1, "0, 3, 7"));
-  EXPECT_EQ(ReadLineFromPipe(out[0]),
-            fixture.ExpectedReply(fixture.path_b, 1, {0, 3, 7}));
+  EXPECT_EQ(reply, expected_b);
 
   server->RequestStop();  // "SIGTERM"
   loop.join();
   EXPECT_TRUE(serve_status.ok()) << serve_status.ToString();
+  EXPECT_EQ(registry.generation(), 2);
   EXPECT_EQ(server->stats().reloads, 1u);
   for (const int fd : {in[0], in[1], out[0], out[1]}) ::close(fd);
 }
@@ -1245,12 +1262,10 @@ TEST(NetServerTest, BackToBackReloadSignalsWithQueriesInFlight) {
   harness.server().RequestReload();
   hammer.join();
 
-  // Each wake byte ran exactly one reload to completion.
-  for (int i = 0; i < 500 && harness.registry().generation() < 3; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(harness.registry().generation(), 3);
+  // The stop byte lands in the wake pipe behind both reload bytes, so
+  // each of them ran exactly one reload to completion before the drain.
   harness.Stop();
+  EXPECT_EQ(harness.registry().generation(), 3);
   EXPECT_EQ(harness.server().stats().reloads, 2u);
 }
 
@@ -1370,6 +1385,7 @@ TEST_F(NetFailpointTest, ReloadLoadFailureKeepsOldSessionServing) {
   failpoint::ClearAll();
   client.Send(Query(2, "0"));
   EXPECT_EQ(client.RecvLine(), fixture.ExpectedReply(fixture.path_a, 2, {0}));
+  harness.Stop();
   EXPECT_EQ(harness.registry().generation(), 1);
   EXPECT_EQ(harness.registry().current_path(), fixture.path_a);
 }

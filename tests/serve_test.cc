@@ -468,6 +468,37 @@ TEST(ServeMetricsTest, LatencyMemoryIsBoundedButStatsStayRepresentative) {
   EXPECT_EQ(snapshot.p99_latency_ms, 100.0);
 }
 
+TEST(ServeMetricsTest, CountersAreExact) {
+  // Mixed outcomes, coalesced batches and direct queue-depth records, in 8
+  // rounds of 2000 iterations; every total is exact.
+  constexpr int kRounds = 8;
+  constexpr int kPerRound = 2000;
+  serve::ServeMetrics metrics;
+  for (int t = 0; t < kRounds; ++t) {
+    for (int i = 0; i < kPerRound; ++i) {
+      const bool ok = (i % 4) != 0;
+      metrics.RecordRequest(/*latency_ms=*/1.0 + i % 7,
+                            /*nodes_answered=*/3, ok);
+      metrics.RecordBatch(/*coalesced_requests=*/2);
+      metrics.RecordQueueDepth(/*depth=*/t * kPerRound + i);
+      if (i % 5 == 0) metrics.RecordRejected();
+      if (i % 6 == 0) metrics.RecordShed();
+    }
+  }
+
+  const serve::MetricsSnapshot snap = metrics.Snapshot();
+  const uint64_t total = uint64_t{kRounds} * kPerRound;
+  EXPECT_EQ(snap.requests, total);
+  EXPECT_EQ(snap.errors, total / 4);
+  EXPECT_EQ(snap.nodes, 3 * total);
+  EXPECT_EQ(snap.batches, total);
+  EXPECT_EQ(snap.rejected, kRounds * ((kPerRound + 4) / 5));
+  EXPECT_EQ(snap.shed, kRounds * ((kPerRound + 5) / 6));
+  EXPECT_EQ(snap.max_queue_depth, int64_t{kRounds} * kPerRound - 1);
+  EXPECT_EQ(snap.mean_batch_requests, 2.0);
+  EXPECT_GT(snap.mean_latency_ms, 0.0);
+}
+
 TEST(ServeMetricsTest, PercentilesUseNearestRank) {
   std::vector<double> values;
   for (int i = 100; i >= 1; --i) values.push_back(i);

@@ -55,22 +55,6 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// The integer flag `name` read through ParseDecimal: `fallback` when it is
-/// unset, nullopt (after an error line) when it is not a decimal in
-/// [lo, hi].
-std::optional<int64_t> CountFlag(const Flags& flags, const char* name,
-                                 int64_t fallback, int64_t lo, int64_t hi) {
-  if (!flags.Has(name)) return fallback;
-  const std::string text = flags.GetString(name, "");
-  const std::optional<int64_t> value = ParseDecimal(text, lo, hi);
-  if (!value.has_value()) {
-    std::fprintf(stderr, "error: --%s=%s is not an integer in %lld..%lld\n",
-                 name, text.c_str(), static_cast<long long>(lo),
-                 static_cast<long long>(hi));
-  }
-  return value;
-}
-
 int Usage() {
   std::fprintf(stderr,
                "usage: adpa_cli <generate|analyze|train> [--flags]\n"

@@ -30,27 +30,32 @@
 //   --listen=HOST:PORT    serve over TCP instead of stdin/stdout
 //   --no_reload           refuse {"reload": ...} admin requests and ignore
 //                         SIGHUP
-//   --idle_timeout_ms=N   close connections idle for N ms (0 = never, the
-//                         default)
-//   --stall_timeout_ms=N  drop connections whose request line has been
-//                         incomplete for N ms (slow-loris defense; 0 =
+//   --idle_timeout_ms=N   close connections idle for N ms, 0..2^31-1 (0 =
 //                         never, the default)
+//   --stall_timeout_ms=N  drop connections whose request line has been
+//                         incomplete for N ms, 0..2^31-1 (slow-loris
+//                         defense; 0 = never, the default)
 //   --checkpoint=F        trained model (required)
 //   --in=F                the dataset the model was trained on (required)
 //   --undirect            mirror the training run's --undirect
-//   --max_batch_nodes=N   node cap per coalesced forward (default 4096)
+//   --max_batch_nodes=N   node cap per coalesced forward, 1..2^20 (default
+//                         4096)
 //   --max_queue_depth=N   pending-request ceiling before Submit is rejected
-//                         with "overloaded" (default 4096)
+//                         with "overloaded", 1..2^20 (default 4096)
 //   --threads=N           kernel thread count, 0..1024 (0 = auto)
 //   --simd_level=<portable|avx2|avx512>
 //                         pin the kernel dispatch level (default: fastest
 //                         level the CPU supports)
-// Unknown flags are ignored.
+// Unknown flags are ignored. An integer flag outside its range prints the
+// usage and exits 2.
 
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -119,6 +124,9 @@ int Usage() {
                "                  [--max_batch_nodes=N --max_queue_depth=N\n"
                "                  --threads=N\n"
                "                  --simd_level=<portable|avx2|avx512>]\n"
+               "--max_batch_nodes and --max_queue_depth take 1..1048576,\n"
+               "the timeouts 0..2147483647 ms (0 = never), --threads\n"
+               "0..1024 (0 = auto);\n"
                "reads JSON-lines requests from stdin, writes replies to "
                "stdout;\n"
                "with --listen, serves the same protocol over TCP (port 0 =\n"
@@ -139,12 +147,30 @@ int Main(int argc, char** argv) {
     return code;
   }
 
+  // Batch and queue sizes share ParseRequestLine's node cap (2^20);
+  // timeouts stay below the int32 range so a deadline never overflows the
+  // steady clock.
+  constexpr int64_t kMaxQueued = int64_t{1} << 20;
+  constexpr int64_t kMaxTimeoutMs = std::numeric_limits<int32_t>::max();
+  const std::optional<int64_t> max_batch_nodes =
+      CountFlag(flags, "max_batch_nodes", 4096, 1, kMaxQueued);
+  const std::optional<int64_t> max_queue_depth =
+      CountFlag(flags, "max_queue_depth", 4096, 1, kMaxQueued);
+  const std::optional<int64_t> idle_timeout_ms =
+      CountFlag(flags, "idle_timeout_ms", 0, 0, kMaxTimeoutMs);
+  const std::optional<int64_t> stall_timeout_ms =
+      CountFlag(flags, "stall_timeout_ms", 0, 0, kMaxTimeoutMs);
+  if (!max_batch_nodes || !max_queue_depth || !idle_timeout_ms ||
+      !stall_timeout_ms) {
+    return Usage();
+  }
+
   net::ServerOptions options;
-  options.batcher.max_batch_nodes = flags.GetInt("max_batch_nodes", 4096);
-  options.batcher.max_queue_depth = flags.GetInt("max_queue_depth", 4096);
+  options.batcher.max_batch_nodes = *max_batch_nodes;
+  options.batcher.max_queue_depth = *max_queue_depth;
   options.allow_reload = !flags.Has("no_reload");
-  options.idle_timeout_ms = flags.GetInt("idle_timeout_ms", 0);
-  options.stall_timeout_ms = flags.GetInt("stall_timeout_ms", 0);
+  options.idle_timeout_ms = *idle_timeout_ms;
+  options.stall_timeout_ms = *stall_timeout_ms;
   const bool tcp = flags.Has("listen");
   if (tcp) {
     Result<net::HostPort> listen =
@@ -175,13 +201,11 @@ int Main(int argc, char** argv) {
   const Result<serve::SessionRegistry::ReloadInfo> initial =
       registry.Reload(checkpoint_path);
   if (!initial.ok()) return Fail(initial.status());
-  const std::shared_ptr<const serve::InferenceSession> session =
-      registry.Current();
   std::fprintf(stderr,
                "serving %s on %s: %lld nodes, %lld classes\n",
                initial->model_name.c_str(), input.name.c_str(),
-               static_cast<long long>(session->num_nodes()),
-               static_cast<long long>(session->num_classes()));
+               static_cast<long long>(registry.Current()->num_nodes()),
+               static_cast<long long>(registry.Current()->num_classes()));
 
   serve::ServeMetrics metrics;
   Result<std::unique_ptr<net::Server>> server =

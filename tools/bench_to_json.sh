@@ -61,7 +61,8 @@ fi
 # Host provenance: a row that asks for more threads than the host has CPUs
 # times the scheduler, not the kernel, so such rows are refused (left out,
 # and named on stderr); the CPU count goes into the report's context as
-# "adpa_nproc".
+# "adpa_nproc". serve_bench and load_bench apply the same rule themselves
+# and record the count as "nproc".
 NPROC="$(getconf _NPROCESSORS_ONLN)"
 FILTER='BM_(MatMulSeedKernel512|MatMulBlocked512|MatMulDispatch512|SpMM|DenseMatMul|DpPropagation|HopChainUnfused|HopChainFused|FusionMatMul|AdpaTrainEpoch)'
 ROWS=""

@@ -1,19 +1,24 @@
 #!/bin/sh
-# adpa_cli train bounds its integer flags: a value outside a flag's range
-# takes the usage path (exit 2) before training starts. 4294967299 is
-# 2^32 + 3, which a narrowing int cast reads as 3 epochs; -1 steps would
-# otherwise be stored in a checkpoint that no loader accepts.
+# adpa_cli train and adpa_serve bound their integer flags: a value outside a
+# flag's range takes the usage path (exit 2) before anything loads.
+# 4294967299 is 2^32 + 3, which a narrowing int cast reads as 3 epochs; -1
+# steps would otherwise be stored in a checkpoint that no loader accepts.
+# A queue depth below 1 answers every query "overloaded", and a timeout past
+# the int32 range overflows the steady-clock deadline.
 #
 # usage: tools/cli_flags_smoke.sh [build-dir]
 set -u
 
 BUILD_DIR="${1:-build}"
 CLI="$BUILD_DIR/tools/adpa_cli"
+SERVE="$BUILD_DIR/tools/adpa_serve"
 
-if [ ! -x "$CLI" ]; then
-  echo "error: $CLI not built (run: cmake --build $BUILD_DIR)" >&2
-  exit 1
-fi
+for bin in "$CLI" "$SERVE"; do
+  if [ ! -x "$bin" ]; then
+    echo "error: $bin not built (run: cmake --build $BUILD_DIR)" >&2
+    exit 1
+  fi
+done
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -33,6 +38,25 @@ expect_usage() {
   fi
 }
 
+# expect_serve_usage <flag>...: adpa_serve with the flags must exit 2. The
+# checkpoint and dataset paths do not exist, so a flag that is accepted
+# reaches the dataset load and exits 1 instead.
+expect_serve_usage() {
+  status=0
+  "$SERVE" --checkpoint="$WORK/missing.ckpt" --in="$WORK/missing.txt" "$@" \
+    < /dev/null > "$WORK/out.txt" 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "cli_flags_smoke: FAIL — adpa_serve $* exited $status, want 2" >&2
+    cat "$WORK/out.txt" >&2
+    exit 1
+  fi
+}
+
 expect_usage --epochs=4294967299
 expect_usage --epochs=1 --steps=-1
+expect_serve_usage --max_queue_depth=0
+expect_serve_usage --max_queue_depth=-1
+expect_serve_usage --max_batch_nodes=0
+expect_serve_usage --idle_timeout_ms=-1
+expect_serve_usage --stall_timeout_ms=99999999999999999999
 echo "cli_flags_smoke: ok"

@@ -57,6 +57,14 @@ Rules (ids used by the `// lint:allow(<rule>)` escape hatch):
                            wrappers and the Server event loop so EINTR
                            handling, non-blocking semantics, and failpoint
                            seams stay in one place.
+  single-owner             Mutex / MutexLock / CondVar, the
+                           src/core/mutex.h include, std::atomic and
+                           std::shared_ptr in src/serve/ and src/net/; the
+                           thread running Server::Serve() owns every
+                           connection, the batcher, the session registry and
+                           the serving metrics (the caller owns them before
+                           Serve() starts and after it returns), so these
+                           layers take no lock and share no session.
   no-bare-exit             exit()/abort()/_exit()/quick_exit() in src/
                            outside the failpoint and logging machinery;
                            library code reports failure as a Status (or an
@@ -287,6 +295,20 @@ RULES = [
             "src/net/server.h",
             "src/net/server.cc",
         ),
+    ),
+    Rule(
+        "single-owner",
+        "lock or shared ownership in a single-owner layer; the thread "
+        "running Server::Serve() owns the connections, the batcher, the "
+        "SessionRegistry and the ServeMetrics (the caller owns them before "
+        "Serve() starts and after it returns), so src/serve/ and src/net/ "
+        "take no lock and share no session",
+        [
+            r"\b(?:Mutex|MutexLock|CondVar)\b",
+            r'#\s*include\s*"src/core/mutex\.h"',
+            r"\bstd::(?:atomic\w*|shared_ptr|make_shared)\b",
+        ],
+        scopes=("src/serve/", "src/net/"),
     ),
     Rule(
         "no-unordered-iteration",

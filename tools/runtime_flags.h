@@ -1,6 +1,8 @@
 #pragma once
-// The process-wide runtime flags that adpa_cli and adpa_serve share.
+// The flag readers that adpa_cli and adpa_serve share: bounded integer
+// flags and the process-wide runtime flags.
 
+#include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -10,6 +12,23 @@
 #include "src/tensor/simd.h"
 
 namespace adpa {
+
+/// The integer flag `name` read through ParseDecimal: `fallback` when it is
+/// unset, nullopt (after an error line) when it is not a decimal in
+/// [lo, hi].
+inline std::optional<int64_t> CountFlag(const Flags& flags, const char* name,
+                                        int64_t fallback, int64_t lo,
+                                        int64_t hi) {
+  if (!flags.Has(name)) return fallback;
+  const std::string text = flags.GetString(name, "");
+  const std::optional<int64_t> value = ParseDecimal(text, lo, hi);
+  if (!value.has_value()) {
+    std::fprintf(stderr, "error: --%s=%s is not an integer in %lld..%lld\n",
+                 name, text.c_str(), static_cast<long long>(lo),
+                 static_cast<long long>(hi));
+  }
+  return value;
+}
 
 /// Applies --threads=N (0..kMaxThreads; 0 = auto: ADPA_NUM_THREADS, then
 /// hardware concurrency) and --simd_level=<portable|avx2|avx512>. Returns 0
