@@ -1,5 +1,7 @@
 #include "src/core/flags.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 
@@ -17,6 +19,16 @@ std::optional<int64_t> ParseDecimal(std::string_view text, int64_t lo,
     value = value * 10 + digit;
   }
   if (value < lo) return std::nullopt;
+  return value;
+}
+
+std::optional<double> ParseReal(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
   return value;
 }
 

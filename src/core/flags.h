@@ -14,6 +14,12 @@ namespace adpa {
 std::optional<int64_t> ParseDecimal(std::string_view text, int64_t lo,
                                     int64_t hi);
 
+/// Parses a finite decimal real: an optional '-', digits with an optional
+/// fraction and exponent (std::from_chars' general format), and nothing
+/// before or after it. nan, inf, a value past the double range and the
+/// empty string are nullopt.
+std::optional<double> ParseReal(std::string_view text);
+
 /// Minimal `--key=value` / `--key value` command-line parser shared by the
 /// tools, bench and example binaries. Parse rejects only positional
 /// arguments; unknown flags are accepted and never read, so a misspelled or

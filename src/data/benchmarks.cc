@@ -1,9 +1,13 @@
 #include "src/data/benchmarks.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "src/core/logging.h"
 #include "src/core/random.h"
+#include "src/core/strings.h"
+#include "src/data/io.h"
 
 namespace adpa {
 namespace {
@@ -325,10 +329,22 @@ Result<BenchmarkSpec> FindBenchmark(const std::string& name) {
 
 Result<Dataset> BuildBenchmark(const BenchmarkSpec& spec, uint64_t seed,
                                double scale) {
-  if (scale <= 0.0) return Status::InvalidArgument("scale must be positive");
+  if (!std::isfinite(scale) || scale <= 0.0) {
+    return Status::InvalidArgument(
+        "scale must be positive and finite, got " + FormatDouble(scale, 2));
+  }
+  // Checked in double, before the cast to int64 (undefined past its range):
+  // a generated graph may not exceed what LoadDataset accepts.
+  const double num_nodes = static_cast<double>(spec.config.num_nodes) * scale;
+  const int64_t max_nodes = DatasetLimits{}.max_nodes;
+  if (num_nodes > static_cast<double>(max_nodes)) {
+    return Status::InvalidArgument(
+        "scale " + FormatDouble(scale, 2) + " gives " + spec.name + " " +
+        FormatDouble(num_nodes, 0) + " nodes, above the dataset limit of " +
+        std::to_string(max_nodes));
+  }
   DsbmConfig config = spec.config;
-  config.num_nodes =
-      static_cast<int64_t>(static_cast<double>(config.num_nodes) * scale);
+  config.num_nodes = static_cast<int64_t>(num_nodes);
   config.seed = config.seed * 0x100000001B3ULL + seed;
   Result<Dataset> dataset = GenerateDsbm(config);
   if (!dataset.ok()) return dataset.status();

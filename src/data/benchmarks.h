@@ -42,7 +42,9 @@ Result<BenchmarkSpec> FindBenchmark(const std::string& name);
 
 /// Instantiates the dataset: generates the DSBM with `seed` folded into the
 /// spec's base seed, applies the split protocol, and validates. `scale`
-/// multiplies the node count (1.0 = calibrated default).
+/// multiplies the node count (1.0 = calibrated default); a scale that is
+/// not positive and finite, or that gives more nodes than
+/// DatasetLimits::max_nodes, is InvalidArgument.
 Result<Dataset> BuildBenchmark(const BenchmarkSpec& spec, uint64_t seed,
                                double scale = 1.0);
 

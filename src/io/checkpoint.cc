@@ -127,6 +127,11 @@ Status ReadModelConfig(BinaryReader* r, const CheckpointLimits& limits,
   if (c->num_layers < 0 || c->num_layers > limits.max_model_layers) {
     return Malformed("layer count exceeds limit");
   }
+  // Dropout takes p in [0, 1) and CHECK-fails on anything else, NaN
+  // included, so the range is enforced here as well.
+  if (!(c->dropout >= 0.0f && c->dropout < 1.0f)) {
+    return Malformed("dropout outside [0, 1)");
+  }
   if (c->propagation_steps < 0 ||
       c->propagation_steps > limits.max_propagation_steps) {
     return Malformed("propagation step count exceeds limit");

@@ -271,10 +271,9 @@ Variable ConcatCols(const std::vector<Variable>& parts) {
           const auto& parent = captured_parents[i];
           if (!parent->requires_grad) continue;
           Matrix slice(g.rows(), offsets[i + 1] - offsets[i]);
-          const simd::KernelTable& kernels = simd::Kernels();
           for (int64_t r = 0; r < g.rows(); ++r) {
-            kernels.copy(slice.Row(r), g.Row(r) + offsets[i],
-                         offsets[i + 1] - offsets[i]);
+            std::copy(g.Row(r) + offsets[i], g.Row(r) + offsets[i + 1],
+                      slice.Row(r));
           }
           parent->AccumulateGrad(slice);
         }
@@ -293,9 +292,9 @@ Variable SliceCols(const Variable& a, int64_t begin, int64_t end) {
              [pa, begin, end](const Matrix& g) {
         if (!pa->requires_grad) return;
         Matrix expanded(pa->value.rows(), pa->value.cols());
-        const simd::KernelTable& kernels = simd::Kernels();
         for (int64_t r = 0; r < g.rows(); ++r) {
-          kernels.copy(expanded.Row(r) + begin, g.Row(r), end - begin);
+          std::copy(g.Row(r), g.Row(r) + (end - begin),
+                    expanded.Row(r) + begin);
         }
         pa->AccumulateGrad(expanded);
       }));

@@ -8,7 +8,9 @@
 // sum each element in the portable level's order, so they give its bits;
 // MatMulTransposeB keeps this level's 8-lane dot chain (simd.h). Per output
 // element the order is a fixed function of shapes, so results at this
-// level are bitwise identical for any thread count.
+// level are bitwise identical for any thread count. The float32 kernels
+// (SpMM, the fused hop, the elementwise ops) are the shared templates, which
+// give every level's bits.
 
 #include <cstdint>
 
@@ -134,8 +136,9 @@ ADPA_HOT void GemmRowsAvx2(const float* a, const float* b, int64_t i_begin,
   }
 }
 
-// The backward GEMMs' register tiles (simd_kernels.h) over ymm registers
-// of 4 doubles, sized for the 16-register budget. A*Bᵀ keeps this level's
+// The level's traits for the shared templates (simd_kernels.h): the float32
+// kernels over ymm registers of 8 floats, and the backward GEMMs' register
+// tiles over ymm registers of 4 doubles, sized for the 16-register budget. A*Bᵀ keeps this level's
 // 8-lane dot chain (simd.h); its tile is 3 rows by 2 panels, 2*3*2
 // accumulators plus 3 operand registers. The A^T*B zero skip masks the b
 // operand: a zero weight then adds 0 * 0, which leaves a double sum
@@ -144,7 +147,9 @@ ADPA_HOT void GemmRowsAvx2(const float* a, const float* b, int64_t i_begin,
 struct Avx2 {
   using Reg = __m256d;
   using Mask = __m256d;
+  using F = __m256;
   static constexpr int kWidth = 4;
+  static constexpr int kFloats = 8;
   static constexpr int kLanes = 8;
   static constexpr int kBtRows = 3;
   static constexpr int kBtPanels = 2;
@@ -172,151 +177,25 @@ struct Avx2 {
   static Reg FmaMasked(Reg w, Reg x, Reg c, Mask mask) {
     return _mm256_fmadd_pd(w, _mm256_and_pd(x, mask), c);
   }
+  static F LoadF(const float* src) { return _mm256_loadu_ps(src); }
+  static void StoreF(float* dst, F v) { _mm256_storeu_ps(dst, v); }
+  static F BroadcastF(float x) { return _mm256_set1_ps(x); }
+  static F AddF(F a, F b) { return _mm256_add_ps(a, b); }
+  static F SubF(F a, F b) { return _mm256_sub_ps(a, b); }
+  static F MulF(F a, F b) { return _mm256_mul_ps(a, b); }
+  static F FmaF(F a, F b, F c) { return _mm256_fmadd_ps(a, b, c); }
 };
-
-ADPA_HOT void GemmBtRowsAvx2(const float* a, const float* b, int64_t i_begin,
-                             int64_t i_end, int64_t k, int64_t m,
-                             float* out) {
-  GemmBtRowsTiled<Avx2>(a, b, i_begin, i_end, k, m, out);
-}
-
-ADPA_HOT void GemmAtRowsAvx2(const float* a, const float* b, int64_t n,
-                             int64_t k, int64_t m, int64_t p_begin,
-                             int64_t p_end, float* out) {
-  GemmAtRowsVec<Avx2>(a, b, n, k, m, p_begin, p_end, out);
-}
-
-// dst[c] += w * src[c], float32 FMA lanes; each element independent.
-inline void AxpyRowF32(float* dst, const float* src, float w, int64_t n) {
-  const __m256 wv = _mm256_set1_ps(w);
-  int64_t c = 0;
-  for (; c + 8 <= n; c += 8) {
-    const __m256 sv = _mm256_loadu_ps(src + c);
-    const __m256 dv = _mm256_loadu_ps(dst + c);
-    _mm256_storeu_ps(dst + c, _mm256_fmadd_ps(wv, sv, dv));
-  }
-  // Explicit fmaf keeps the tail a single rounding — the same arithmetic
-  // as the fmadd lanes above — independent of contraction heuristics.
-  for (; c < n; ++c) dst[c] = __builtin_fmaf(w, src[c], dst[c]);
-}
-
-constexpr int64_t kSpmmColBlock = 1024;
-
-ADPA_HOT void SpmmRowsAvx2(const int64_t* row_ptr, const int32_t* col_idx,
-                  const float* values, const float* dense, int64_t cols,
-                  int64_t row_begin, int64_t row_end, float* out) {
-  for (int64_t c0 = 0; c0 < cols; c0 += kSpmmColBlock) {
-    const int64_t width = std::min<int64_t>(kSpmmColBlock, cols - c0);
-    for (int64_t r = row_begin; r < row_end; ++r) {
-      float* out_row = out + r * cols + c0;
-      std::fill(out_row, out_row + width, 0.0f);
-      for (int64_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
-        AxpyRowF32(out_row, dense + int64_t{col_idx[p]} * cols + c0,
-                   values[p], width);
-      }
-    }
-  }
-}
-
-void ScaleAvx2(float* dst, float factor, int64_t n);
-
-ADPA_HOT void SpmmAxpbyRowsAvx2(const int64_t* row_ptr, const int32_t* col_idx,
-                       const float* values, const float* dense,
-                       const float* residual, float alpha, float beta,
-                       int64_t cols, int64_t row_begin, int64_t row_end,
-                       float* out) {
-  for (int64_t c0 = 0; c0 < cols; c0 += kSpmmColBlock) {
-    const int64_t width = std::min<int64_t>(kSpmmColBlock, cols - c0);
-    for (int64_t r = row_begin; r < row_end; ++r) {
-      float* out_row = out + r * cols + c0;
-      std::fill(out_row, out_row + width, 0.0f);
-      for (int64_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
-        AxpyRowF32(out_row, dense + int64_t{col_idx[p]} * cols + c0,
-                   values[p], width);
-      }
-      // Finalize through the very same scale/axpy kernels the unfused
-      // ScaleInPlace + AddScaledInPlace sequence dispatches to, so fused ==
-      // unfused holds bit for bit by construction. (An open-coded
-      // "equivalent" loop is not enough: -ffp-contract lets the compiler
-      // contract the scalar tails of each loop differently.)
-      ScaleAvx2(out_row, beta, width);
-      AxpyRowF32(out_row, residual + r * cols + c0, alpha, width);
-    }
-  }
-}
-
-ADPA_HOT void AddAvx2(float* dst, const float* src, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        dst + i, _mm256_add_ps(_mm256_loadu_ps(dst + i),
-                               _mm256_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-}
-
-ADPA_HOT void SubAvx2(float* dst, const float* src, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        dst + i, _mm256_sub_ps(_mm256_loadu_ps(dst + i),
-                               _mm256_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] -= src[i];
-}
-
-ADPA_HOT void MulAvx2(float* dst, const float* src, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        dst + i, _mm256_mul_ps(_mm256_loadu_ps(dst + i),
-                               _mm256_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] *= src[i];
-}
-
-ADPA_HOT void ScaleAvx2(float* dst, float factor, int64_t n) {
-  const __m256 fv = _mm256_set1_ps(factor);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_mul_ps(_mm256_loadu_ps(dst + i), fv));
-  }
-  for (; i < n; ++i) dst[i] *= factor;
-}
-
-ADPA_HOT void AxpyAvx2(float* dst, const float* src, float factor, int64_t n) {
-  AxpyRowF32(dst, src, factor, n);
-}
-
-ADPA_HOT void ScaleToAvx2(float* dst, const float* src, float factor, int64_t n) {
-  const __m256 fv = _mm256_set1_ps(factor);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_mul_ps(_mm256_loadu_ps(src + i), fv));
-  }
-  for (; i < n; ++i) dst[i] = factor * src[i];
-}
 
 }  // namespace
 
-const KernelTable kAvx2Table = {
-    GemmRowsAvx2, GemmBtRowsAvx2, GemmAtRowsAvx2, SpmmRowsAvx2,
-    SpmmAxpbyRowsAvx2, AddAvx2, SubAvx2, MulAvx2, ScaleAvx2, AxpyAvx2,
-    ScaleToAvx2,  CopyPortable,  // a copy is a copy at every level
-};
+const KernelTable kAvx2Table = VecTable<Avx2>(GemmRowsAvx2);
 
 }  // namespace adpa::simd::detail
 
 #else  // !x86-64: the AVX2 level is never CPU-supported; alias portable.
 
 namespace adpa::simd::detail {
-const KernelTable kAvx2Table = {
-    GemmRowsPortable, GemmBtRowsPortable, GemmAtRowsPortable,
-    SpmmRowsPortable, SpmmAxpbyRowsPortable,
-    AddPortable,      SubPortable,      MulPortable,
-    ScalePortable,    AxpyPortable,     ScaleToPortable,
-    CopyPortable,
-};
+const KernelTable kAvx2Table = kPortableTable;
 }  // namespace adpa::simd::detail
 
 #endif

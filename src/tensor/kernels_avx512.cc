@@ -10,7 +10,9 @@
 // length instead of growing with k. MatMulTransposeB keeps this level's
 // 16-lane double dot chain and MatMulTransposeA the all-level increasing-row
 // double chain (simd.h). The per-element order is a pure function of shapes
-// (bitwise thread-count invariant within the level).
+// (bitwise thread-count invariant within the level). The float32 kernels
+// (SpMM, the fused hop, the elementwise ops) are the shared templates, which
+// give every level's bits.
 
 #include <cstdint>
 
@@ -190,15 +192,19 @@ ADPA_HOT void GemmRowsAvx512(const float* a, const float* b, int64_t i_begin,
   }
 }
 
-// The backward GEMMs' register tiles (simd_kernels.h) over zmm registers
-// of 8 doubles. A*Bᵀ keeps this level's 16-lane dot chain (simd.h); its
-// tile is 4 rows by 3 panels, 2*4*3 accumulators plus 4 operand registers. The
-// A^T*B zero skip is a write mask, so a masked-off lane keeps its sum
-// untouched, as the skipped add of the historical loop did.
+// The level's traits for the shared templates (simd_kernels.h): the float32
+// kernels over zmm registers of 16 floats, and the backward GEMMs' register
+// tiles over zmm registers of 8 doubles. A*Bᵀ keeps this level's 16-lane dot
+// chain (simd.h); its tile is 4 rows by 3 panels, 2*4*3 accumulators plus 4
+// operand registers. The A^T*B zero skip is a write mask, so a masked-off
+// lane keeps its sum untouched, as the skipped add of the historical loop
+// did.
 struct Avx512 {
   using Reg = __m512d;
   using Mask = __mmask8;
+  using F = __m512;
   static constexpr int kWidth = 8;
+  static constexpr int kFloats = 16;
   static constexpr int kLanes = 16;
   static constexpr int kBtRows = 4;
   static constexpr int kBtPanels = 3;
@@ -226,152 +232,25 @@ struct Avx512 {
   static Reg FmaMasked(Reg w, Reg x, Reg c, Mask mask) {
     return _mm512_mask3_fmadd_pd(w, x, c, mask);
   }
+  static F LoadF(const float* src) { return _mm512_loadu_ps(src); }
+  static void StoreF(float* dst, F v) { _mm512_storeu_ps(dst, v); }
+  static F BroadcastF(float x) { return _mm512_set1_ps(x); }
+  static F AddF(F a, F b) { return _mm512_add_ps(a, b); }
+  static F SubF(F a, F b) { return _mm512_sub_ps(a, b); }
+  static F MulF(F a, F b) { return _mm512_mul_ps(a, b); }
+  static F FmaF(F a, F b, F c) { return _mm512_fmadd_ps(a, b, c); }
 };
-
-ADPA_HOT void GemmBtRowsAvx512(const float* a, const float* b,
-                               int64_t i_begin, int64_t i_end, int64_t k,
-                               int64_t m, float* out) {
-  GemmBtRowsTiled<Avx512>(a, b, i_begin, i_end, k, m, out);
-}
-
-ADPA_HOT void GemmAtRowsAvx512(const float* a, const float* b, int64_t n,
-                               int64_t k, int64_t m, int64_t p_begin,
-                               int64_t p_end, float* out) {
-  GemmAtRowsVec<Avx512>(a, b, n, k, m, p_begin, p_end, out);
-}
-
-inline void AxpyRowF32(float* dst, const float* src, float w, int64_t n) {
-  const __m512 wv = _mm512_set1_ps(w);
-  int64_t c = 0;
-  for (; c + 16 <= n; c += 16) {
-    const __m512 sv = _mm512_loadu_ps(src + c);
-    const __m512 dv = _mm512_loadu_ps(dst + c);
-    _mm512_storeu_ps(dst + c, _mm512_fmadd_ps(wv, sv, dv));
-  }
-  // Explicit fmaf keeps the tail a single rounding — the same arithmetic
-  // as the fmadd lanes above — independent of contraction heuristics.
-  for (; c < n; ++c) dst[c] = __builtin_fmaf(w, src[c], dst[c]);
-}
-
-constexpr int64_t kSpmmColBlock = 1024;
-
-ADPA_HOT void SpmmRowsAvx512(const int64_t* row_ptr, const int32_t* col_idx,
-                    const float* values, const float* dense, int64_t cols,
-                    int64_t row_begin, int64_t row_end, float* out) {
-  for (int64_t c0 = 0; c0 < cols; c0 += kSpmmColBlock) {
-    const int64_t width = std::min<int64_t>(kSpmmColBlock, cols - c0);
-    for (int64_t r = row_begin; r < row_end; ++r) {
-      float* out_row = out + r * cols + c0;
-      std::fill(out_row, out_row + width, 0.0f);
-      for (int64_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
-        AxpyRowF32(out_row, dense + int64_t{col_idx[p]} * cols + c0,
-                   values[p], width);
-      }
-    }
-  }
-}
-
-void ScaleAvx512(float* dst, float factor, int64_t n);
-
-ADPA_HOT void SpmmAxpbyRowsAvx512(const int64_t* row_ptr, const int32_t* col_idx,
-                         const float* values, const float* dense,
-                         const float* residual, float alpha, float beta,
-                         int64_t cols, int64_t row_begin, int64_t row_end,
-                         float* out) {
-  for (int64_t c0 = 0; c0 < cols; c0 += kSpmmColBlock) {
-    const int64_t width = std::min<int64_t>(kSpmmColBlock, cols - c0);
-    for (int64_t r = row_begin; r < row_end; ++r) {
-      float* out_row = out + r * cols + c0;
-      std::fill(out_row, out_row + width, 0.0f);
-      for (int64_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
-        AxpyRowF32(out_row, dense + int64_t{col_idx[p]} * cols + c0,
-                   values[p], width);
-      }
-      // Finalize through the very same scale/axpy kernels the unfused
-      // ScaleInPlace + AddScaledInPlace sequence dispatches to, so fused ==
-      // unfused holds bit for bit by construction. (An open-coded
-      // "equivalent" loop is not enough: -ffp-contract lets the compiler
-      // contract the scalar tails of each loop differently.)
-      ScaleAvx512(out_row, beta, width);
-      AxpyRowF32(out_row, residual + r * cols + c0, alpha, width);
-    }
-  }
-}
-
-ADPA_HOT void AddAvx512(float* dst, const float* src, int64_t n) {
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(
-        dst + i, _mm512_add_ps(_mm512_loadu_ps(dst + i),
-                               _mm512_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-}
-
-ADPA_HOT void SubAvx512(float* dst, const float* src, int64_t n) {
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(
-        dst + i, _mm512_sub_ps(_mm512_loadu_ps(dst + i),
-                               _mm512_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] -= src[i];
-}
-
-ADPA_HOT void MulAvx512(float* dst, const float* src, int64_t n) {
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(
-        dst + i, _mm512_mul_ps(_mm512_loadu_ps(dst + i),
-                               _mm512_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] *= src[i];
-}
-
-ADPA_HOT void ScaleAvx512(float* dst, float factor, int64_t n) {
-  const __m512 fv = _mm512_set1_ps(factor);
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(dst + i, _mm512_mul_ps(_mm512_loadu_ps(dst + i), fv));
-  }
-  for (; i < n; ++i) dst[i] *= factor;
-}
-
-ADPA_HOT void AxpyAvx512(float* dst, const float* src, float factor, int64_t n) {
-  AxpyRowF32(dst, src, factor, n);
-}
-
-ADPA_HOT void ScaleToAvx512(float* dst, const float* src, float factor, int64_t n) {
-  const __m512 fv = _mm512_set1_ps(factor);
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(dst + i, _mm512_mul_ps(_mm512_loadu_ps(src + i), fv));
-  }
-  for (; i < n; ++i) dst[i] = factor * src[i];
-}
 
 }  // namespace
 
-const KernelTable kAvx512Table = {
-    GemmRowsAvx512, GemmBtRowsAvx512, GemmAtRowsAvx512,
-    SpmmRowsAvx512, SpmmAxpbyRowsAvx512,
-    AddAvx512,      SubAvx512,  MulAvx512,
-    ScaleAvx512,    AxpyAvx512, ScaleToAvx512,
-    CopyPortable,
-};
+const KernelTable kAvx512Table = VecTable<Avx512>(GemmRowsAvx512);
 
 }  // namespace adpa::simd::detail
 
 #else  // !x86-64: the AVX-512 level is never CPU-supported; alias portable.
 
 namespace adpa::simd::detail {
-const KernelTable kAvx512Table = {
-    GemmRowsPortable, GemmBtRowsPortable, GemmAtRowsPortable,
-    SpmmRowsPortable, SpmmAxpbyRowsPortable,
-    AddPortable,      SubPortable,      MulPortable,
-    ScalePortable,    AxpyPortable,     ScaleToPortable,
-    CopyPortable,
-};
+const KernelTable kAvx512Table = kPortableTable;
 }  // namespace adpa::simd::detail
 
 #endif

@@ -1,9 +1,10 @@
-// Portable (plain C++) kernel level: the reference implementation every
-// wider level is parity-tested against, and the only level used when
-// ADPA_SIMD_LEVEL=portable or the CPU lacks AVX2. Its loops compute the
-// historical matrix.cc and sparse_matrix.cc results bit for bit. This file
-// also holds the packing helpers and the A^T*B slab sweep that every
-// level's dense GEMMs share (simd_kernels.h).
+// Portable (plain C++) kernel level: the only level used when
+// ADPA_SIMD_LEVEL=portable, on CPUs without AVX2, and off x86. Its own code
+// is the GEMM reference chains (the historical matrix.cc loops, bit for
+// bit) and a one-lane traits struct for the float32 templates every level
+// shares (simd_kernels.h); the float32 kernels' reference loops live in
+// tests/gemm_oracle.h. This file also holds the packing helpers and the
+// A^T*B slab sweep that every level's dense GEMMs share.
 
 #include <algorithm>
 #include <cstdint>
@@ -24,13 +25,6 @@ constexpr int64_t kGemmNr = 32;
 // kAtJ output columns.
 constexpr int64_t kAtP = 4;
 constexpr int64_t kAtJ = 32;
-
-// Feature-dimension block of the CSR SpMM kernels: the output row slice and
-// the gathered dense-row slices stay L1-resident while a row panel reuses
-// its neighbours. Blocking changes only the traversal, never the per-element
-// accumulation order, so results are bitwise identical to the unblocked
-// sweep.
-constexpr int64_t kSpmmColBlock = 1024;
 
 // Rows [i_begin, i_end) of a times the k x m operand whose element (p, j)
 // is b[p*p_stride + j*j_stride]. The operand is packed once into kGemmNr-
@@ -122,6 +116,43 @@ void AtTilePortable(const double* a_tile, int64_t a_stride,
   }
 }
 
+ADPA_HOT void GemmRowsPortable(const float* a, const float* b, int64_t i_begin,
+                               int64_t i_end, int64_t k, int64_t m,
+                               float* out) {
+  GemmRowsStrided(a, b, m, 1, i_begin, i_end, k, m, out);
+}
+
+// The portable dot chain is the plain increasing-p one, the GEMM's, so
+// a*bᵀ is the GEMM over bᵀ read in place of b.
+ADPA_HOT void GemmBtRowsPortable(const float* a, const float* b,
+                                 int64_t i_begin, int64_t i_end, int64_t k,
+                                 int64_t m, float* out) {
+  GemmRowsStrided(a, b, 1, k, i_begin, i_end, k, m, out);
+}
+
+ADPA_HOT void GemmAtRowsPortable(const float* a, const float* b, int64_t n,
+                                 int64_t k, int64_t m, int64_t p_begin,
+                                 int64_t p_end, float* out) {
+  GemmAtRowsTiled(a, b, n, k, m, p_begin, p_end, out, kAtP, kAtJ,
+                  AtTilePortable);
+}
+
+// One float lane for the float32 templates. FmaF is __builtin_fmaf, one
+// rounding in every build: a single FMA instruction where the target has
+// one, a correctly rounded libm call where it does not (a build without
+// -mfma).
+struct Scalar {
+  using F = float;
+  static constexpr int kFloats = 1;
+  static F LoadF(const float* src) { return *src; }
+  static void StoreF(float* dst, F v) { *dst = v; }
+  static F BroadcastF(float x) { return x; }
+  static F AddF(F a, F b) { return a + b; }
+  static F SubF(F a, F b) { return a - b; }
+  static F MulF(F a, F b) { return a * b; }
+  static F FmaF(F a, F b, F c) { return __builtin_fmaf(a, b, c); }
+};
+
 }  // namespace
 
 double* ScratchDoubles(int slot, int64_t count) {
@@ -189,112 +220,11 @@ void GemmAtRowsTiled(const float* a, const float* b, int64_t n, int64_t k,
   }
 }
 
-void GemmRowsPortable(const float* a, const float* b, int64_t i_begin,
-                      int64_t i_end, int64_t k, int64_t m, float* out) {
-  GemmRowsStrided(a, b, m, 1, i_begin, i_end, k, m, out);
-}
-
-// The portable dot chain is the plain increasing-p one, the GEMM's, so
-// a*bᵀ is the GEMM over bᵀ read in place of b.
-void GemmBtRowsPortable(const float* a, const float* b, int64_t i_begin,
-                        int64_t i_end, int64_t k, int64_t m, float* out) {
-  GemmRowsStrided(a, b, 1, k, i_begin, i_end, k, m, out);
-}
-
-void GemmAtRowsPortable(const float* a, const float* b, int64_t n, int64_t k,
-                        int64_t m, int64_t p_begin, int64_t p_end,
-                        float* out) {
-  GemmAtRowsTiled(a, b, n, k, m, p_begin, p_end, out, kAtP, kAtJ,
-                  AtTilePortable);
-}
-
-void SpmmRowsPortable(const int64_t* row_ptr, const int32_t* col_idx,
-                      const float* values, const float* dense, int64_t cols,
-                      int64_t row_begin, int64_t row_end, float* out) {
-  for (int64_t c0 = 0; c0 < cols; c0 += kSpmmColBlock) {
-    const int64_t width = std::min<int64_t>(kSpmmColBlock, cols - c0);
-    for (int64_t r = row_begin; r < row_end; ++r) {
-      float* out_row = out + r * cols + c0;
-      std::fill(out_row, out_row + width, 0.0f);
-      for (int64_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
-        const float w = values[p];
-        const float* in_row = dense + int64_t{col_idx[p]} * cols + c0;
-        for (int64_t c = 0; c < width; ++c) out_row[c] += w * in_row[c];
-      }
-    }
-  }
-}
-
-void SpmmAxpbyRowsPortable(const int64_t* row_ptr, const int32_t* col_idx,
-                           const float* values, const float* dense,
-                           const float* residual, float alpha, float beta,
-                           int64_t cols, int64_t row_begin, int64_t row_end,
-                           float* out) {
-  for (int64_t c0 = 0; c0 < cols; c0 += kSpmmColBlock) {
-    const int64_t width = std::min<int64_t>(kSpmmColBlock, cols - c0);
-    for (int64_t r = row_begin; r < row_end; ++r) {
-      float* out_row = out + r * cols + c0;
-      std::fill(out_row, out_row + width, 0.0f);
-      for (int64_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
-        const float w = values[p];
-        const float* in_row = dense + int64_t{col_idx[p]} * cols + c0;
-        for (int64_t c = 0; c < width; ++c) out_row[c] += w * in_row[c];
-      }
-      // Finalize through the very same scale/axpy kernels the unfused
-      // ScaleInPlace + AddScaledInPlace sequence dispatches to, so fused ==
-      // unfused holds bit for bit by construction. (An open-coded
-      // "equivalent" loop is not enough: -ffp-contract lets the compiler
-      // contract the mul+add of each loop differently.)
-      ScalePortable(out_row, beta, width);
-      AxpyPortable(out_row, residual + r * cols + c0, alpha, width);
-    }
-  }
-}
-
-void AddPortable(float* dst, const float* src, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] += src[i];
-}
-
-void SubPortable(float* dst, const float* src, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] -= src[i];
-}
-
-void MulPortable(float* dst, const float* src, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] *= src[i];
-}
-
-void ScalePortable(float* dst, float factor, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] *= factor;
-}
-
-void AxpyPortable(float* dst, const float* src, float factor, int64_t n) {
-  // Explicit single-rounding FMA: with -ffp-contract=fast and an FMA
-  // target this is the contraction GCC already performed on the historical
-  // `dst[i] += factor * src[i]` loop, so the bits are unchanged there —
-  // and a build without -mfma (ADPA_NATIVE_ARCH=OFF) now produces the
-  // same bits instead of a two-rounding mul+add, which is what keeps the
-  // elementwise kernels bitwise identical across dispatch levels in every
-  // build flavor. On FMA-less CPUs libm provides a correctly rounded
-  // software fmaf (slower, still exact).
-  for (int64_t i = 0; i < n; ++i) {
-    dst[i] = __builtin_fmaf(factor, src[i], dst[i]);
-  }
-}
-
-void ScaleToPortable(float* dst, const float* src, float factor, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] = factor * src[i];
-}
-
-void CopyPortable(float* dst, const float* src, int64_t n) {
-  std::copy(src, src + n, dst);
-}
-
 const KernelTable kPortableTable = {
-    GemmRowsPortable, GemmBtRowsPortable, GemmAtRowsPortable,
-    SpmmRowsPortable, SpmmAxpbyRowsPortable,
-    AddPortable,      SubPortable,      MulPortable,
-    ScalePortable,    AxpyPortable,     ScaleToPortable,
-    CopyPortable,
+    GemmRowsPortable,    GemmBtRowsPortable,       GemmAtRowsPortable,
+    SpmmRowsVec<Scalar>, SpmmAxpbyRowsVec<Scalar>, AddVec<Scalar>,
+    SubVec<Scalar>,      MulVec<Scalar>,           ScaleVec<Scalar>,
+    AxpyVec<Scalar>,     ScaleToVec<Scalar>,
 };
 
 }  // namespace adpa::simd::detail

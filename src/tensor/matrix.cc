@@ -282,12 +282,10 @@ void ConcatColsInto(const std::vector<const Matrix*>& parts, Matrix* out) {
     total_cols += part->cols();
   }
   out->Resize(rows, total_cols);
-  const simd::KernelTable& kernels = simd::Kernels();
   for (int64_t r = 0; r < rows; ++r) {
     float* dst = out->Row(r);
     for (const Matrix* part : parts) {
-      kernels.copy(dst, part->Row(r), part->cols());
-      dst += part->cols();
+      dst = std::copy(part->Row(r), part->Row(r) + part->cols(), dst);
     }
   }
 }
@@ -365,9 +363,8 @@ void SliceColsInto(const Matrix& a, int64_t begin, int64_t end, Matrix* out) {
   ADPA_CHECK_LE(end, a.cols());
   ADPA_CHECK(out != &a);
   out->Resize(a.rows(), end - begin);
-  const simd::KernelTable& kernels = simd::Kernels();
   for (int64_t r = 0; r < a.rows(); ++r) {
-    kernels.copy(out->Row(r), a.Row(r) + begin, end - begin);
+    std::copy(a.Row(r) + begin, a.Row(r) + end, out->Row(r));
   }
 }
 
@@ -375,12 +372,12 @@ void GatherRowsInto(const Matrix& a, const std::vector<int64_t>& rows,
                     Matrix* out) {
   ADPA_CHECK(out != &a);
   out->Resize(static_cast<int64_t>(rows.size()), a.cols());
-  const simd::KernelTable& kernels = simd::Kernels();
   for (size_t i = 0; i < rows.size(); ++i) {
     const int64_t r = rows[i];
     ADPA_CHECK_GE(r, 0);
     ADPA_CHECK_LT(r, a.rows());
-    kernels.copy(out->Row(static_cast<int64_t>(i)), a.Row(r), a.cols());
+    std::copy(a.Row(r), a.Row(r) + a.cols(),
+              out->Row(static_cast<int64_t>(i)));
   }
 }
 

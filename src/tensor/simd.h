@@ -11,14 +11,16 @@ namespace adpa::simd {
 ///
 /// Determinism contract per level: every kernel fixes its per-output-element
 /// accumulation order as a function of shapes only, so results at one level
-/// are bitwise identical run-to-run and for any thread count. Levels may
-/// differ from each other in the low bits (float32 runs in the AVX-512
-/// GEMM, lane-split dot chains in A*Bᵀ); cross-level agreement is verified
-/// by the rel-error parity suite (tests/simd_test.cc). The KernelTable docs
-/// state each dense GEMM's chain per level, and which of them agree bit
-/// for bit across levels.
+/// are bitwise identical run-to-run and for any thread count. The float32
+/// kernels (SpMM, the fused hop, the elementwise ops) are written once for
+/// every level and give the same bits at every level, in every build. The
+/// dense GEMMs may differ from level to level in the low bits (float32 runs
+/// in the AVX-512 MatMul, lane-split dot chains in A*Bᵀ); the KernelTable
+/// docs state each GEMM's chain per level, and which of them agree bit for
+/// bit across levels (tests/simd_test.cc checks every chain against the
+/// per-element loops of tests/gemm_oracle.h).
 enum class Level {
-  kPortable = 0,  ///< Plain C++ loops (the pre-dispatch kernels, unchanged).
+  kPortable = 0,  ///< Plain C++: the pre-dispatch GEMM loops, unchanged.
   kAvx2 = 1,      ///< AVX2 + FMA, 256-bit lanes.
   kAvx512 = 2,    ///< AVX-512F, 512-bit lanes.
 };
@@ -102,10 +104,10 @@ struct KernelTable {
                        int64_t m, int64_t p_begin, int64_t p_end, float* out);
 
   /// CSR SpMM over output rows [row_begin, row_end): overwrites
-  /// out[r] = sum_p values[p] * dense[col_idx[p]] for each row. float32
-  /// accumulation in CSR order (matching the historical kernel), blocked
-  /// over the feature dimension so the gathered dense rows stay cache
-  /// resident.
+  /// out[r] = sum_p values[p] * dense[col_idx[p]] for each row. Each
+  /// element starts at +0.0f and adds its terms in CSR order in float32,
+  /// one FMA (one rounding) per term, at every level. Blocked over the
+  /// feature dimension so the gathered dense rows stay cache resident.
   void (*spmm_rows)(const int64_t* row_ptr, const int32_t* col_idx,
                     const float* values, const float* dense, int64_t cols,
                     int64_t row_begin, int64_t row_end, float* out);
@@ -114,15 +116,18 @@ struct KernelTable {
   ///   out[r] = beta * (A * dense)[r] + alpha * residual[r]
   /// in a single pass (SpMM -> scale -> residual add without materializing
   /// the intermediate). `residual` may alias `dense`; it must not alias
-  /// `out`. Matches the unfused Multiply+ScaleInPlace+AddScaledInPlace
-  /// sequence operation-for-operation.
+  /// `out`. Per element: spmm_rows' chain, then one multiply by beta, then
+  /// one FMA of alpha * residual; so it matches the unfused
+  /// Multiply+ScaleInPlace+AddScaledInPlace sequence operation for
+  /// operation, at every level.
   void (*spmm_axpby_rows)(const int64_t* row_ptr, const int32_t* col_idx,
                           const float* values, const float* dense,
                           const float* residual, float alpha, float beta,
                           int64_t cols, int64_t row_begin, int64_t row_end,
                           float* out);
 
-  /// Elementwise span kernels (each element independent).
+  /// Elementwise span kernels: one float32 operation per element, rounded
+  /// once (axpy is an FMA), so every level gives the same bits.
   void (*add)(float* dst, const float* src, int64_t n);        // dst += src
   void (*sub)(float* dst, const float* src, int64_t n);        // dst -= src
   void (*mul)(float* dst, const float* src, int64_t n);        // dst *= src
@@ -131,7 +136,6 @@ struct KernelTable {
                int64_t n);                                     // dst += f*src
   void (*scale_to)(float* dst, const float* src, float factor,
                    int64_t n);                                 // dst = f*src
-  void (*copy)(float* dst, const float* src, int64_t n);       // dst = src
 };
 
 /// The kernel table for ActiveLevel().

@@ -5,10 +5,15 @@
 #include "src/core/thread_annotations.h"
 #include "src/tensor/simd.h"
 
-/// Internal: per-level kernel tables and the portable entry points the
-/// higher levels reuse for ops where wider lanes add nothing (plain
-/// copies). Only simd.cc and the kernels_*.cc implementation files include
-/// this; everything else goes through simd::Kernels().
+/// Internal: the per-level kernel tables and the kernels they are built
+/// from. Every kernel but the forward GEMM is written once here as a
+/// template over a level's traits struct; a level's own code is its traits
+/// and its gemm_rows. Only simd.cc and the kernels_*.cc implementation files
+/// include this; everything else goes through simd::Kernels().
+///
+/// The traits structs live in each kernel file's anonymous namespace, so
+/// every instantiation has internal linkage: an -mavx512f copy of a template
+/// can never be picked by the linker for another level's caller.
 
 namespace adpa::simd::detail {
 
@@ -155,8 +160,9 @@ inline constexpr int64_t kBtRowBlock = 32;
 /// into panels of kWidth output columns, then widens `a` a row block at a
 /// time and sweeps the register tiles over it.
 template <class V>
-void GemmBtRowsTiled(const float* a, const float* b, int64_t i_begin,
-                     int64_t i_end, int64_t k, int64_t m, float* out) {
+ADPA_HOT void GemmBtRowsTiled(const float* a, const float* b,
+                              int64_t i_begin, int64_t i_end, int64_t k,
+                              int64_t m, float* out) {
   constexpr int64_t kWidth = V::kWidth;
   const int64_t num_panels = (m + kWidth - 1) / kWidth;
   double* panels = ScratchDoubles(0, num_panels * k * kWidth);
@@ -213,37 +219,156 @@ void AtTileVec(const double* a_tile, int64_t a_stride, const double* b_slab,
 
 /// KernelTable::gemm_at_rows over V's register tile.
 template <class V>
-void GemmAtRowsVec(const float* a, const float* b, int64_t n, int64_t k,
-                   int64_t m, int64_t p_begin, int64_t p_end, float* out) {
+ADPA_HOT void GemmAtRowsVec(const float* a, const float* b, int64_t n,
+                            int64_t k, int64_t m, int64_t p_begin,
+                            int64_t p_end, float* out) {
   GemmAtRowsTiled(a, b, n, k, m, p_begin, p_end, out, V::kAtRows,
                   V::kAtVecs * V::kWidth, AtTileVec<V>);
 }
 
-// Portable implementations (kernels_portable.cc). The portable table is
-// built from exactly these, and they give the pre-dispatch kernels' bits.
-ADPA_HOT void GemmRowsPortable(const float* a, const float* b, int64_t i_begin,
-                               int64_t i_end, int64_t k, int64_t m,
-                               float* out);
-ADPA_HOT void GemmBtRowsPortable(const float* a, const float* b,
-                                 int64_t i_begin, int64_t i_end, int64_t k,
-                                 int64_t m, float* out);
-ADPA_HOT void GemmAtRowsPortable(const float* a, const float* b, int64_t n,
-                                 int64_t k, int64_t m, int64_t p_begin,
-                                 int64_t p_end, float* out);
-ADPA_HOT void SpmmRowsPortable(const int64_t* row_ptr, const int32_t* col_idx,
-                      const float* values, const float* dense, int64_t cols,
-                      int64_t row_begin, int64_t row_end, float* out);
-ADPA_HOT void SpmmAxpbyRowsPortable(const int64_t* row_ptr, const int32_t* col_idx,
-                           const float* values, const float* dense,
-                           const float* residual, float alpha, float beta,
-                           int64_t cols, int64_t row_begin, int64_t row_end,
-                           float* out);
-ADPA_HOT void AddPortable(float* dst, const float* src, int64_t n);
-ADPA_HOT void SubPortable(float* dst, const float* src, int64_t n);
-ADPA_HOT void MulPortable(float* dst, const float* src, int64_t n);
-ADPA_HOT void ScalePortable(float* dst, float factor, int64_t n);
-ADPA_HOT void AxpyPortable(float* dst, const float* src, float factor, int64_t n);
-ADPA_HOT void ScaleToPortable(float* dst, const float* src, float factor, int64_t n);
-ADPA_HOT void CopyPortable(float* dst, const float* src, int64_t n);
+// Float32 kernels. A level adds float lanes to its traits:
+//   V::F                        a register of V::kFloats floats
+//   V::LoadF(const float*), V::StoreF(float*, F), V::BroadcastF(float),
+//   V::AddF(a, b), V::SubF(a, b), V::MulF(a, b)
+//   V::FmaF(a, b, c) = a*b + c, rounded once
+// Each output element takes one operation per input term, rounded once, in
+// the same order at every level: a vector lane and the scalar tail do the
+// same arithmetic. So these kernels give the same bits at every level and
+// in every build (tests/gemm_oracle.h states each as a per-element loop).
+
+/// dst[c] = fma(w, src[c], dst[c]) for c in [0, n). The tail calls
+/// __builtin_fmaf rather than writing `dst[c] += w * src[c]`, which rounds
+/// twice wherever the compiler does not contract it.
+template <class V>
+inline void AxpyRowVec(float* dst, const float* src, float w, int64_t n) {
+  const typename V::F wv = V::BroadcastF(w);
+  int64_t c = 0;
+  for (; c + V::kFloats <= n; c += V::kFloats) {
+    V::StoreF(dst + c, V::FmaF(wv, V::LoadF(src + c), V::LoadF(dst + c)));
+  }
+  for (; c < n; ++c) dst[c] = __builtin_fmaf(w, src[c], dst[c]);
+}
+
+/// KernelTable::axpy: an out-of-line entry around AxpyRowVec, which the
+/// SpMM bodies inline. Putting the inline row kernel in the table instead
+/// changes the entry's register allocation.
+template <class V>
+ADPA_HOT void AxpyVec(float* dst, const float* src, float factor, int64_t n) {
+  AxpyRowVec<V>(dst, src, factor, n);
+}
+
+template <class V>
+ADPA_HOT void AddVec(float* dst, const float* src, int64_t n) {
+  int64_t i = 0;
+  for (; i + V::kFloats <= n; i += V::kFloats) {
+    V::StoreF(dst + i, V::AddF(V::LoadF(dst + i), V::LoadF(src + i)));
+  }
+  for (; i < n; ++i) dst[i] += src[i];
+}
+
+template <class V>
+ADPA_HOT void SubVec(float* dst, const float* src, int64_t n) {
+  int64_t i = 0;
+  for (; i + V::kFloats <= n; i += V::kFloats) {
+    V::StoreF(dst + i, V::SubF(V::LoadF(dst + i), V::LoadF(src + i)));
+  }
+  for (; i < n; ++i) dst[i] -= src[i];
+}
+
+template <class V>
+ADPA_HOT void MulVec(float* dst, const float* src, int64_t n) {
+  int64_t i = 0;
+  for (; i + V::kFloats <= n; i += V::kFloats) {
+    V::StoreF(dst + i, V::MulF(V::LoadF(dst + i), V::LoadF(src + i)));
+  }
+  for (; i < n; ++i) dst[i] *= src[i];
+}
+
+template <class V>
+ADPA_HOT void ScaleVec(float* dst, float factor, int64_t n) {
+  const typename V::F fv = V::BroadcastF(factor);
+  int64_t i = 0;
+  for (; i + V::kFloats <= n; i += V::kFloats) {
+    V::StoreF(dst + i, V::MulF(V::LoadF(dst + i), fv));
+  }
+  for (; i < n; ++i) dst[i] *= factor;
+}
+
+template <class V>
+ADPA_HOT void ScaleToVec(float* dst, const float* src, float factor,
+                         int64_t n) {
+  const typename V::F fv = V::BroadcastF(factor);
+  int64_t i = 0;
+  for (; i + V::kFloats <= n; i += V::kFloats) {
+    V::StoreF(dst + i, V::MulF(V::LoadF(src + i), fv));
+  }
+  for (; i < n; ++i) dst[i] = factor * src[i];
+}
+
+/// Feature-dimension block of the CSR SpMM kernels: the output row slice and
+/// the gathered dense-row slices stay L1-resident while a row reuses its
+/// neighbours. Blocking changes only the traversal, never an element's
+/// chain.
+inline constexpr int64_t kSpmmColBlock = 1024;
+
+// The two SpMM bodies stay separate on purpose: folding the fused finalize
+// into the plain kernel behind a flag changes the plain kernel's register
+// allocation.
+
+/// KernelTable::spmm_rows: each output element starts at +0.0f and takes one
+/// AxpyRowVec term per nonzero of its row, in CSR order.
+template <class V>
+ADPA_HOT void SpmmRowsVec(const int64_t* row_ptr, const int32_t* col_idx,
+                          const float* values, const float* dense,
+                          int64_t cols, int64_t row_begin, int64_t row_end,
+                          float* out) {
+  for (int64_t c0 = 0; c0 < cols; c0 += kSpmmColBlock) {
+    const int64_t width = std::min<int64_t>(kSpmmColBlock, cols - c0);
+    for (int64_t r = row_begin; r < row_end; ++r) {
+      float* out_row = out + r * cols + c0;
+      std::fill(out_row, out_row + width, 0.0f);
+      for (int64_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
+        AxpyRowVec<V>(out_row, dense + int64_t{col_idx[p]} * cols + c0,
+                      values[p], width);
+      }
+    }
+  }
+}
+
+/// KernelTable::spmm_axpby_rows: SpmmRowsVec's row, then the very ScaleVec
+/// and AxpyRowVec that the unfused ScaleInPlace + AddScaledInPlace sequence
+/// dispatches to, so fused == unfused holds bit for bit by construction (an
+/// open-coded "equivalent" loop is not enough: -ffp-contract may contract
+/// it differently).
+template <class V>
+ADPA_HOT void SpmmAxpbyRowsVec(const int64_t* row_ptr, const int32_t* col_idx,
+                               const float* values, const float* dense,
+                               const float* residual, float alpha, float beta,
+                               int64_t cols, int64_t row_begin,
+                               int64_t row_end, float* out) {
+  for (int64_t c0 = 0; c0 < cols; c0 += kSpmmColBlock) {
+    const int64_t width = std::min<int64_t>(kSpmmColBlock, cols - c0);
+    for (int64_t r = row_begin; r < row_end; ++r) {
+      float* out_row = out + r * cols + c0;
+      std::fill(out_row, out_row + width, 0.0f);
+      for (int64_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
+        AxpyRowVec<V>(out_row, dense + int64_t{col_idx[p]} * cols + c0,
+                      values[p], width);
+      }
+      ScaleVec<V>(out_row, beta, width);
+      AxpyRowVec<V>(out_row, residual + r * cols + c0, alpha, width);
+    }
+  }
+}
+
+/// A vector level's table: its own forward GEMM, the backward GEMM
+/// templates above over its register tiles, and the float32 kernels.
+template <class V>
+constexpr KernelTable VecTable(decltype(KernelTable::gemm_rows) gemm_rows) {
+  return {gemm_rows,      GemmBtRowsTiled<V>,  GemmAtRowsVec<V>,
+          SpmmRowsVec<V>, SpmmAxpbyRowsVec<V>, AddVec<V>,
+          SubVec<V>,      MulVec<V>,           ScaleVec<V>,
+          AxpyVec<V>,     ScaleToVec<V>};
+}
 
 }  // namespace adpa::simd::detail

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -220,6 +221,20 @@ TEST(CheckpointTest, LimitsAreEnforcedBeforeAllocation) {
   CheckpointLimits few_patterns;
   few_patterns.max_patterns = 1;
   EXPECT_FALSE(Deserialize(bytes, few_patterns).ok());
+}
+
+TEST(CheckpointTest, DropoutOutsideItsRangeIsRejected) {
+  // Dropout CHECK-fails on p outside [0, 1), so a checkpoint (or a
+  // --resume_from snapshot) carrying one must be refused at load.
+  TrainedFixture fixture;
+  for (const float dropout : {1.0f, -0.5f, std::nanf("")}) {
+    Checkpoint checkpoint = fixture.checkpoint;
+    checkpoint.model_config.dropout = dropout;
+    const Result<Checkpoint> loaded = Deserialize(Serialize(checkpoint));
+    ASSERT_FALSE(loaded.ok()) << dropout;
+    EXPECT_NE(loaded.status().message().find("dropout"), std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 TEST(CheckpointTest, LoadIntoMismatchedModelFailsWithShapeError) {

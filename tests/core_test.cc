@@ -274,5 +274,41 @@ TEST(ParseDecimalTest, AcceptsDigitsWithinTheRangeOnly) {
   }
 }
 
+TEST(ParseRealTest, AcceptsFiniteDecimalsOnly) {
+  // Parsing only: the caller bounds the value (adpa_cli: 0 <= dropout < 1,
+  // lr > 0) and takes its usage path on nullopt.
+  struct Case {
+    const char* text;
+    std::optional<double> expected;
+  };
+  const Case cases[] = {
+      {"0", 0.0},
+      {"0.5", 0.5},
+      {"-0.5", -0.5},
+      {".25", 0.25},
+      {"1e-3", 1e-3},
+      {"2.5E2", 250.0},
+      {"1e308", 1e308},
+      {"1e309", std::nullopt},  // past the double range
+      {"nan", std::nullopt},
+      {"NaN", std::nullopt},
+      {"inf", std::nullopt},
+      {"-inf", std::nullopt},
+      {"infinity", std::nullopt},
+      {"", std::nullopt},
+      {"+1", std::nullopt},
+      {" 1", std::nullopt},
+      {"1 ", std::nullopt},
+      {"0.5x", std::nullopt},
+      {"0x10", std::nullopt},
+      {"1e", std::nullopt},
+      {"-", std::nullopt},
+      {".", std::nullopt},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(ParseReal(c.text), c.expected) << '"' << c.text << '"';
+  }
+}
+
 }  // namespace
 }  // namespace adpa

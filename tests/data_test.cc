@@ -1,7 +1,9 @@
 // Tests for datasets, splits, the DSBM generator, the benchmark registry,
 // and the sparsity injectors.
 
+#include <cmath>
 #include <set>
+#include <string>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -250,6 +252,18 @@ TEST(RegistryTest, ScaleShrinksNodeCount) {
   Dataset full = std::move(BuildBenchmarkByName("CoraML", 0)).value();
   Dataset half = std::move(BuildBenchmarkByName("CoraML", 0, 0.5)).value();
   EXPECT_EQ(half.num_nodes(), full.num_nodes() / 2);
+}
+
+TEST(RegistryTest, ScaleMustBeFiniteAndWithinTheNodeLimit) {
+  // 1e6 would give Texas 183M nodes, past DatasetLimits::max_nodes (50M):
+  // refused before anything is sized from it.
+  for (const double scale : {std::nan(""), HUGE_VAL, 1e6}) {
+    const Result<Dataset> ds = BuildBenchmarkByName("Texas", 0, scale);
+    ASSERT_FALSE(ds.ok()) << scale;
+    EXPECT_EQ(ds.status().code(), StatusCode::kInvalidArgument) << scale;
+    EXPECT_NE(ds.status().message().find("scale"), std::string::npos)
+        << ds.status().ToString();
+  }
 }
 
 TEST(RegistryTest, SeedsChangeTheGraph) {

@@ -3,8 +3,10 @@
 // Invariants under test:
 //  * TryFromCsr never aborts, crashes, or trips ASan/UBSan on any input —
 //    every malformed structure comes back as a non-OK Status;
-//  * a matrix that validates is safe to run through the dense kernels
-//    (Multiply / MultiplyTransposed / Transposed / At).
+//  * on a matrix that validates, Multiply, MultiplyAxpbyInto and
+//    MultiplyTransposed equal the loops of tests/gemm_oracle.h bit for bit
+//    at every supported level, on dense operands drawn from the rest of the
+//    input (Input::TakeChainFloat); Transposed and At run as well.
 //
 // Two input modes keep both sides of the validator hot: mode 0 feeds raw
 // untempered arrays (almost always rejected, exercising every error path),
@@ -17,22 +19,47 @@
 
 #include "src/graph/sparse_matrix.h"
 #include "src/tensor/matrix.h"
+#include "src/tensor/simd.h"
 #include "tests/fuzz/fuzz_util.h"
+#include "tests/gemm_oracle.h"
 
 using adpa::Matrix;
 using adpa::Result;
 using adpa::SparseMatrix;
+using adpa::fuzz::BitwiseEqual;
 
 namespace {
 
 constexpr int64_t kMaxDim = 32;
 constexpr size_t kMaxNnz = 256;
+// Past two 16-float vectors, so every level's vector body and tail run.
+constexpr int64_t kMaxFeatures = 40;
 
-void ExerciseKernels(const SparseMatrix& m) {
-  const Matrix x(m.cols(), 3, 0.5f);
-  const Matrix y = m.Multiply(x);
-  const Matrix xt(m.rows(), 2, -1.0f);
-  const Matrix yt = m.MultiplyTransposed(xt);
+void CheckKernels(const SparseMatrix& m, adpa::fuzz::Input* in) {
+  const int64_t f = in->TakeInRange(1, kMaxFeatures);
+  const Matrix x = adpa::fuzz::TakeChainMatrix(in, m.cols(), f);
+  const Matrix residual = adpa::fuzz::TakeChainMatrix(in, m.rows(), f);
+  const Matrix xt = adpa::fuzz::TakeChainMatrix(in, m.rows(), f);
+  const float alpha = in->TakeChainFloat();
+  const float beta = in->TakeChainFloat();
+  const Matrix want = adpa::oracle::Spmm(m, x);
+  const Matrix want_fused =
+      adpa::oracle::SpmmAxpby(m, x, residual, alpha, beta);
+  const Matrix want_t = adpa::oracle::SpmmTransposed(m, xt);
+  for (const adpa::simd::Level level : adpa::simd::SupportedLevels()) {
+    adpa::simd::SetLevel(level);
+    if (!BitwiseEqual(m.Multiply(x), want)) {
+      __builtin_trap();  // SpMM left its CSR-order FMA chain
+    }
+    Matrix fused;
+    m.MultiplyAxpbyInto(x, residual, alpha, beta, &fused);
+    if (!BitwiseEqual(fused, want_fused)) {
+      __builtin_trap();  // the fused hop left SpMM, *beta, fma(alpha)
+    }
+    if (!BitwiseEqual(m.MultiplyTransposed(xt), want_t)) {
+      __builtin_trap();  // SpMMᵀ left the increasing-row scatter
+    }
+  }
   const SparseMatrix t = m.Transposed();
   double checksum = 0.0;
   for (int64_t r = 0; r < m.rows(); ++r) {
@@ -41,7 +68,7 @@ void ExerciseKernels(const SparseMatrix& m) {
     }
   }
   // Keep the results alive so the calls cannot be optimized out.
-  if (y.rows() + yt.rows() + t.rows() < 0 && checksum > 1e300) __builtin_trap();
+  if (t.rows() < 0 && checksum > 1e300) __builtin_trap();
 }
 
 }  // namespace
@@ -84,6 +111,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   Result<SparseMatrix> result = SparseMatrix::TryFromCsr(
       rows, cols, std::move(row_ptr), std::move(col_idx), std::move(values));
-  if (result.ok()) ExerciseKernels(result.value());
+  if (result.ok()) CheckKernels(result.value(), &in);
   return 0;
 }

@@ -63,7 +63,7 @@ int Usage() {
                "  train    --in=<file> --model=<name> [--undirect]\n"
                "           [--epochs=N --patience=N --hidden=N --steps=N "
                "--order=N\n"
-               "            --lr=F --seed=N --check_finite]\n"
+               "            --lr=F --dropout=F --seed=N --check_finite]\n"
                "           [--save_checkpoint=F | --load_checkpoint=F]\n"
                "           [--checkpoint_every=N --checkpoint_path=F]\n"
                "           [--resume_from=F]\n"
@@ -153,8 +153,15 @@ int Train(const Flags& flags) {
       CountFlag(flags, "patience", 30, 0, kMaxCount);
   const std::optional<int64_t> checkpoint_every =
       CountFlag(flags, "checkpoint_every", 0, 0, kMaxCount);
+  // Dropout keeps a fraction 1 - p of the units, and a learning rate that
+  // is not positive climbs the loss or leaves the weights where they are.
+  const std::optional<float> dropout = RealFlag(
+      flags, "dropout", 0.5f, [](float p) { return p >= 0.0f && p < 1.0f; },
+      "0 <= dropout < 1");
+  const std::optional<float> lr = RealFlag(
+      flags, "lr", 0.01f, [](float v) { return v > 0.0f; }, "lr > 0");
   if (!hidden || !steps || !order || !epochs || !patience ||
-      !checkpoint_every) {
+      !checkpoint_every || !dropout || !lr) {
     return Usage();
   }
   Result<Dataset> dataset = LoadDataset(in);
@@ -224,12 +231,11 @@ int Train(const Flags& flags) {
     config.hidden = *hidden;
     config.propagation_steps = static_cast<int>(*steps);
     config.pattern_order = static_cast<int>(*order);
-    config.dropout = static_cast<float>(flags.GetDouble("dropout", 0.5));
+    config.dropout = *dropout;
     model = CreateModel(resolved_model_name, input, config, &rng);
     train_config.max_epochs = static_cast<int>(*epochs);
     train_config.patience = static_cast<int>(*patience);
-    train_config.learning_rate =
-        static_cast<float>(flags.GetDouble("lr", 0.01));
+    train_config.learning_rate = *lr;
     train_config.check_finite = flags.GetBool("check_finite", false);
     train_config.checkpoint_every = static_cast<int>(*checkpoint_every);
     train_config.checkpoint_path = flags.GetString("checkpoint_path", "");

@@ -1,8 +1,10 @@
 #!/bin/sh
-# adpa_cli train and adpa_serve bound their integer flags: a value outside a
-# flag's range takes the usage path (exit 2) before anything loads.
-# 4294967299 is 2^32 + 3, which a narrowing int cast reads as 3 epochs; -1
-# steps would otherwise be stored in a checkpoint that no loader accepts.
+# adpa_cli train and adpa_serve bound their integer flags, and train its
+# real ones: a value outside a flag's range takes the usage path (exit 2)
+# before anything loads. 4294967299 is 2^32 + 3, which a narrowing int cast
+# reads as 3 epochs; -1 steps would otherwise be stored in a checkpoint that
+# no loader accepts. A dropout outside [0, 1) fails a CHECK once training
+# starts, and a learning rate of nan or 0 trains a model that cannot learn.
 # A queue depth below 1 answers every query "overloaded", and a timeout past
 # the int32 range overflows the steady-clock deadline.
 #
@@ -54,6 +56,10 @@ expect_serve_usage() {
 
 expect_usage --epochs=4294967299
 expect_usage --epochs=1 --steps=-1
+expect_usage --epochs=1 --dropout=1
+expect_usage --epochs=1 --dropout=-0.5
+expect_usage --epochs=1 --lr=nan
+expect_usage --epochs=1 --lr=0
 expect_serve_usage --max_queue_depth=0
 expect_serve_usage --max_queue_depth=-1
 expect_serve_usage --max_batch_nodes=0

@@ -1,9 +1,11 @@
 #pragma once
-// The flag readers that adpa_cli and adpa_serve share: bounded integer
-// flags and the process-wide runtime flags.
+// The flag readers that adpa_cli and adpa_serve share: bounded integer and
+// real flags and the process-wide runtime flags.
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -28,6 +30,27 @@ inline std::optional<int64_t> CountFlag(const Flags& flags, const char* name,
                  static_cast<long long>(hi));
   }
   return value;
+}
+
+/// The float flag `name` read through ParseReal: `fallback` when it is
+/// unset, nullopt (after an error line) when it is not a decimal with a
+/// finite float value that passes `accept`, which `range` states. The range
+/// is checked on the float a model stores, so 0.9999999999 (1.0f) is not a
+/// dropout below 1, nor 1e-50 (0.0f) a positive learning rate.
+inline std::optional<float> RealFlag(const Flags& flags, const char* name,
+                                     float fallback, bool (*accept)(float),
+                                     const char* range) {
+  if (!flags.Has(name)) return fallback;
+  const std::string text = flags.GetString(name, "");
+  const std::optional<double> value = ParseReal(text);
+  if (!value.has_value() ||
+      std::fabs(*value) > std::numeric_limits<float>::max() ||
+      !accept(static_cast<float>(*value))) {
+    std::fprintf(stderr, "error: --%s=%s is not a finite float with %s\n",
+                 name, text.c_str(), range);
+    return std::nullopt;
+  }
+  return static_cast<float>(*value);
 }
 
 /// Applies --threads=N (0..kMaxThreads; 0 = auto: ADPA_NUM_THREADS, then
