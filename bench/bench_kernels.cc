@@ -301,18 +301,25 @@ void BM_AdpaForward(benchmark::State& state) {
 }
 BENCHMARK(BM_AdpaForward)->Arg(500)->Arg(2000);
 
+// The training step TrainModel runs: TrainLogits over the sorted train rows
+// (every even node), the loss over their positions.
 void BM_AdpaTrainEpoch(benchmark::State& state) {
   Dataset ds = MakeGraph(1000, 8.0, 64);
-  std::vector<int64_t> train_idx;
-  for (int64_t i = 0; i < ds.num_nodes(); i += 2) train_idx.push_back(i);
+  std::vector<int64_t> train_rows, train_labels, positions;
+  for (int64_t i = 0; i < ds.num_nodes(); i += 2) {
+    positions.push_back(static_cast<int64_t>(train_rows.size()));
+    train_rows.push_back(i);
+    train_labels.push_back(ds.labels[i]);
+  }
   Rng rng(4);
   ModelConfig config;
   AdpaModel model(ds, config, &rng);
   Adam adam(model.Parameters(), 0.01f);
   for (auto _ : state) {
     adam.ZeroGrad();
-    ag::Variable logits = model.Forward(true, &rng);
-    ag::Variable loss = ag::MaskedCrossEntropy(logits, ds.labels, train_idx);
+    ag::Variable logits = model.TrainLogits(train_rows, &rng);
+    ag::Variable loss =
+        ag::MaskedCrossEntropy(logits, train_labels, positions);
     ag::Backward(loss);
     adam.Step();
   }

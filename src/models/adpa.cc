@@ -169,6 +169,9 @@ AdpaModel::AdpaModel(const Dataset& dataset, const ModelConfig& config,
 namespace {
 
 /// Tape executor: each op is the ag:: op, so a pass records its backward.
+/// It binds rows as WorkspaceOps does: with `nodes` set, the Eq. 9 leaves
+/// and the Eq. 10 weights enter as those rows, and dropout keeps those rows
+/// of a mask drawn at full size, so the Rng stream is the full-batch one.
 /// tools/analyze.py matches calls by name, so ForwardRows reaches these ops
 /// through WorkspaceOps' ops of the same names: false edges, waived at each
 /// call into ag::.
@@ -178,11 +181,24 @@ struct TapeOps {
 
   const DpLeaves& leaves;
   const Value& dp_weights;
+  const std::vector<int64_t>* nodes;  // rows to bind; null binds all rows
   bool training;
   Rng* rng;
 
-  const List& Blocks(int step) { return leaves[step]; }
-  const Value& DpWeights() { return dp_weights; }
+  List Blocks(int step) {
+    if (nodes == nullptr) return leaves[step];
+    List blocks;
+    for (const Value& leaf : leaves[step]) {
+      Matrix rows;
+      GatherRowsInto(leaf.value(), *nodes, &rows);
+      blocks.push_back(ag::Constant(std::move(rows)));  // analyze:allow(alloc): tape op, a false edge from ForwardRows
+    }
+    return blocks;
+  }
+  Value DpWeights() {
+    if (nodes == nullptr) return dp_weights;
+    return ag::GatherRows(dp_weights, *nodes);  // analyze:allow(alloc): tape op, a false edge from ForwardRows
+  }
   // A temporary; ForwardOn binds lists with auto&&, so a pooled one works too.
   List NewList(int64_t size) { return List(static_cast<size_t>(size)); }
 
@@ -216,7 +232,14 @@ struct TapeOps {
     return ag::SoftmaxRows(x);  // analyze:allow(alloc): tape op, a false edge from ForwardRows
   }
   Value DropoutOp(const Value& x, float p) {
-    return ag::Dropout(x, p, training, rng);  // analyze:allow(alloc): tape op, a false edge from ForwardRows
+    if (nodes == nullptr || !training || p == 0.0f) {
+      return ag::Dropout(x, p, training, rng);  // analyze:allow(alloc): tape op, a false edge from ForwardRows
+    }
+    // The full-batch mask (every leaf has all n rows), cut to `nodes`.
+    Matrix mask;
+    GatherRowsInto(ag::DropoutMask(leaves[0][0].rows(), x.cols(), p, rng),  // analyze:allow(alloc): tape op, a false edge from ForwardRows
+                   *nodes, &mask);
+    return ag::DropoutWithMask(x, mask);  // analyze:allow(alloc): tape op, a false edge from ForwardRows
   }
 };
 
@@ -402,8 +425,19 @@ typename Ops::Value AdpaModel::ForwardOn(Ops& ops) const {
 }
 
 ag::Variable AdpaModel::Forward(bool training, Rng* rng) {
-  TapeOps ops{propagated_, dp_weights_, training, rng};
+  TapeOps ops{propagated_, dp_weights_, /*nodes=*/nullptr, training, rng};
   return ForwardOn(ops);
+}
+
+ag::Variable AdpaModel::TrainLogits(const std::vector<int64_t>& rows,
+                                    Rng* rng) {
+  TapeOps ops{propagated_, dp_weights_, &rows, /*training=*/true, rng};
+  return ForwardOn(ops);
+}
+
+Matrix AdpaModel::EvalLogits(const std::vector<int64_t>& rows,
+                             Workspace* ws) {
+  return Evaluate(&rows, ws);
 }
 
 Matrix AdpaModel::Evaluate(const std::vector<int64_t>* nodes,

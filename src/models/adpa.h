@@ -66,8 +66,10 @@ std::vector<ParameterShape> AdpaParameterShapes(const ModelConfig& config,
 /// a uniform average; `initial_residual = false` drops X^(0) from the
 /// block list (Eq. 9's over-smoothing guard).
 ///
-/// Steps 2–4 are written once, over an executor (ForwardOn): Forward runs
-/// them on the autograd tape, Evaluate on Workspace slots.
+/// Steps 2–4 are written once, over an executor (ForwardOn): Forward and
+/// TrainLogits run them on the autograd tape, Evaluate on Workspace slots.
+/// After Eq. 9 every op works row by row, so TrainLogits and Evaluate bind
+/// only the rows they are asked for.
 ///
 /// ADPA accepts both AMDirected and AMUndirected inputs: on a symmetric
 /// graph A = Aᵀ and the DP set degenerates gracefully.
@@ -93,6 +95,14 @@ class AdpaModel : public Model {
 
   ag::Variable Forward(bool training, Rng* rng) override;
   std::vector<ag::Variable> Parameters() const override;
+
+  /// ForwardOn over `rows` alone on the tape: each Eq. 9 leaf and the Eq. 10
+  /// weights are gathered to those rows, and each dropout mask is drawn at
+  /// full size and cut to them.
+  ag::Variable TrainLogits(const std::vector<int64_t>& rows,
+                           Rng* rng) override;
+  /// Evaluate(&rows, ws).
+  Matrix EvalLogits(const std::vector<int64_t>& rows, Workspace* ws) override;
 
   /// Rows `nodes` (in range, may repeat; every row when null) of
   /// Forward(false)'s logits, bit for bit, computed without a tape in `ws`.

@@ -10,6 +10,7 @@
 namespace adpa {
 
 class Rng;
+class Workspace;
 
 /// Node-wise attention variants for ADPA's DP attention (Table VII).
 enum class DpAttention { kOriginal, kGate, kRecursive, kJk };
@@ -62,6 +63,29 @@ class Model {
   /// Full-batch forward pass. `training` toggles dropout; `rng` must be
   /// non-null when training.
   virtual ag::Variable Forward(bool training, Rng* rng) = 0;
+
+  /// Training-mode logits of `rows`, which ascend and are distinct: row r is
+  /// node rows[r]. A loss over these rows back-propagates the same
+  /// parameter gradients, and draws the same `rng` stream, as that loss over
+  /// the same rows of Forward(true, rng). The default gathers them from that
+  /// full-batch Forward; a model whose rows are independent computes only
+  /// these.
+  virtual ag::Variable TrainLogits(const std::vector<int64_t>& rows,
+                                   Rng* rng) {
+    return ag::GatherRows(Forward(/*training=*/true, rng), rows);
+  }
+
+  /// Eval-mode logits of `rows` (in range), bit for bit the same rows of
+  /// Forward(false, nullptr). `ws` is scratch a model may reuse across
+  /// calls; the caller Resets it between them. The default gathers the rows
+  /// from that full-batch Forward and leaves `ws` untouched.
+  virtual Matrix EvalLogits(const std::vector<int64_t>& rows,
+                            Workspace* /*ws*/) {
+    Matrix logits;
+    GatherRowsInto(Forward(/*training=*/false, nullptr).value(), rows,
+                   &logits);
+    return logits;
+  }
 
   /// All trainable parameters.
   virtual std::vector<ag::Variable> Parameters() const = 0;

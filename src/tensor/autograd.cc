@@ -330,6 +330,22 @@ Variable ScaleRows(const Variable& a, const Variable& scales) {
   }));
 }
 
+Variable GatherRows(const Variable& a, const std::vector<int64_t>& rows) {
+  auto pa = a.node();
+  Matrix out;
+  GatherRowsInto(a.value(), rows, &out);
+  return Variable(MakeOp("GatherRows", std::move(out), {pa},
+                         [pa, rows](const Matrix& g) {
+    if (!pa->requires_grad) return;
+    Matrix da(pa->value.rows(), pa->value.cols());
+    const simd::KernelTable& kernels = simd::Kernels();
+    for (size_t r = 0; r < rows.size(); ++r) {
+      kernels.add(da.Row(rows[r]), g.Row(static_cast<int64_t>(r)), da.cols());
+    }
+    pa->AccumulateGrad(da);
+  }));
+}
+
 Variable ScaleScalar(const Variable& a, const Variable& s) {
   ADPA_CHECK_EQ(s.rows(), 1);
   ADPA_CHECK_EQ(s.cols(), 1);

@@ -147,6 +147,11 @@ Variable SliceCols(const Variable& a, int64_t begin, int64_t end);
 /// This is the primitive behind node-wise attention weighting.
 Variable ScaleRows(const Variable& a, const Variable& scales);
 
+/// Row r of c is row rows[r] of `a` (each index in [0, a.rows()); repeats
+/// allowed). Gradient: each row of dL/dc is added into row rows[r] of an
+/// a.rows() x cols zero matrix, in increasing r.
+Variable GatherRows(const Variable& a, const std::vector<int64_t>& rows);
+
 /// c = s * a where `s` is a trainable 1x1 scalar variable (used for
 /// learnable propagation coefficients, e.g. GPR-GNN's γ_k).
 Variable ScaleScalar(const Variable& a, const Variable& s);

@@ -253,6 +253,14 @@ std::vector<GradcheckCase> OpGradcheckRegistry() {
   add("SoftmaxRows", {RandomInput(3, 5, 151)},
       [](const std::vector<Variable>& in) { return SoftmaxRows(in[0]); });
 
+  // Row gather. It comes last so the cases above keep their registry
+  // indices. Row 2 is gathered twice and row 1 never, so the scatter-add
+  // backward must sum one row's two gradients and leave another row at zero.
+  add("GatherRows", {RandomInput(4, 3, 148)},
+      [](const std::vector<Variable>& in) {
+        return GatherRows(in[0], {2, 0, 2, 3});
+      });
+
   return cases;
 }
 

@@ -126,6 +126,12 @@ void CheckOpShapes(const Node* node, std::vector<std::string>* violations) {
         complain("slice wider than its input " + ShapeOf(parents[0]->value));
       }
     }
+  } else if (IsOneOf(op, {"GatherRows"})) {
+    // The row indices live in the backward closure; the columns must carry.
+    if (require_arity(1) && parents[0]->value.cols() != value.cols()) {
+      complain("gathered " + std::to_string(value.cols()) +
+               " columns from input " + ShapeOf(parents[0]->value));
+    }
   } else if (IsOneOf(op, {"ScaleRows"})) {
     if (require_arity(2)) {
       if (!parents[0]->value.SameShape(value)) {

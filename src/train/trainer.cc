@@ -1,8 +1,10 @@
 #include "src/train/trainer.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <iostream>
 #include <utility>
+#include <vector>
 
 #include "src/core/failpoint.h"
 #include "src/core/logging.h"
@@ -11,6 +13,7 @@
 #include "src/tensor/autograd.h"
 #include "src/tensor/optimizer.h"
 #include "src/tensor/tape_analysis.h"
+#include "src/tensor/workspace.h"
 
 namespace adpa {
 namespace {
@@ -43,6 +46,38 @@ Status SaveTrainingSnapshot(const Model& model, const Dataset& dataset,
   state.train_loss_curve = progress.train_loss_curve;
   snapshot.train_state = std::move(state);
   return SaveCheckpoint(snapshot, config.checkpoint_path);
+}
+
+/// The nodes of `splits` in increasing order (Dataset::Validate keeps them
+/// distinct).
+std::vector<int64_t> SortedRows(
+    std::initializer_list<const std::vector<int64_t>*> splits) {
+  std::vector<int64_t> rows;
+  for (const std::vector<int64_t>* split : splits) {
+    rows.insert(rows.end(), split->begin(), split->end());
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+std::vector<int64_t> LabelsOf(const Dataset& dataset,
+                              const std::vector<int64_t>& rows) {
+  std::vector<int64_t> labels;
+  labels.reserve(rows.size());
+  for (int64_t node : rows) labels.push_back(dataset.labels[node]);
+  return labels;
+}
+
+/// For each node of `split`, its row in `rows` (sorted, and holding it).
+std::vector<int64_t> PositionsIn(const std::vector<int64_t>& rows,
+                                 const std::vector<int64_t>& split) {
+  std::vector<int64_t> positions;
+  positions.reserve(split.size());
+  for (int64_t node : split) {
+    positions.push_back(
+        std::lower_bound(rows.begin(), rows.end(), node) - rows.begin());
+  }
+  return positions;
 }
 
 }  // namespace
@@ -123,13 +158,29 @@ Result<TrainResult> TrainModelResumable(Model* model, const Dataset& dataset,
   const SnapshotContext& snapshot_context =
       context != nullptr ? *context : default_context;
 
+  // The loss reads only the train rows and accuracy only the val and test
+  // rows, so each pass binds just those, in increasing node order: the
+  // order in which a full-batch backward sums every parameter gradient.
+  const std::vector<int64_t> train_rows = SortedRows({&dataset.train_idx});
+  const std::vector<int64_t> train_labels = LabelsOf(dataset, train_rows);
+  const std::vector<int64_t> train_positions =
+      PositionsIn(train_rows, dataset.train_idx);
+  const std::vector<int64_t> eval_rows =
+      SortedRows({&dataset.val_idx, &dataset.test_idx});
+  const std::vector<int64_t> eval_labels = LabelsOf(dataset, eval_rows);
+  const std::vector<int64_t> val_positions =
+      PositionsIn(eval_rows, dataset.val_idx);
+  const std::vector<int64_t> test_positions =
+      PositionsIn(eval_rows, dataset.test_idx);
+  Workspace eval_workspace;
+
   for (int epoch = start_epoch; epoch < config.max_epochs; ++epoch) {
     ADPA_FAILPOINT("trainer.epoch");
-    // Training step.
+    // Training step. The loss sums in train_idx order.
     optimizer.ZeroGrad();
-    ag::Variable logits = model->Forward(/*training=*/true, rng);
+    ag::Variable logits = model->TrainLogits(train_rows, rng);
     ag::Variable loss =
-        ag::MaskedCrossEntropy(logits, dataset.labels, dataset.train_idx);
+        ag::MaskedCrossEntropy(logits, train_labels, train_positions);
     if (config.verify_tape && epoch == start_epoch) {
       // One-shot structural audit of the loss graph: op-shape and
       // backward-closure invariants are hard errors; dead (unreachable)
@@ -151,9 +202,9 @@ Result<TrainResult> TrainModelResumable(Model* model, const Dataset& dataset,
     }
 
     // Evaluation pass (no dropout).
-    ag::Variable eval_logits = model->Forward(/*training=*/false, rng);
-    const double val_acc =
-        Accuracy(eval_logits.value(), dataset.labels, dataset.val_idx);
+    eval_workspace.Reset();
+    const Matrix eval_logits = model->EvalLogits(eval_rows, &eval_workspace);
+    const double val_acc = Accuracy(eval_logits, eval_labels, val_positions);
     if (config.record_curves) {
       result.val_curve.push_back(val_acc);
       result.train_loss_curve.push_back(loss.value().At(0, 0));
@@ -164,7 +215,7 @@ Result<TrainResult> TrainModelResumable(Model* model, const Dataset& dataset,
       result.best_val_accuracy = val_acc;
       result.best_epoch = epoch;
       result.test_accuracy =
-          Accuracy(eval_logits.value(), dataset.labels, dataset.test_idx);
+          Accuracy(eval_logits, eval_labels, test_positions);
       epochs_since_best = 0;
     } else {
       ++epochs_since_best;

@@ -22,10 +22,11 @@ struct TrainConfig {
   float weight_decay = 5e-4f;
   /// Record per-epoch validation accuracy / training loss (Fig. 5 curves).
   bool record_curves = false;
-  /// Abort (ADPA_CHECK) on the first NaN/Inf in the training loss, logits,
-  /// or any parameter after an optimizer step. Off by default — it adds a
-  /// full scan of every checked tensor per epoch — but invaluable when
-  /// hunting silent numerical drift (adpa_cli --check_finite).
+  /// Abort (ADPA_CHECK) on the first NaN/Inf in the training loss, the
+  /// train rows' logits, or any parameter after an optimizer step. Off by
+  /// default — it adds a full scan of every checked tensor per epoch — but
+  /// invaluable when hunting silent numerical drift (adpa_cli
+  /// --check_finite).
   bool check_finite = false;
   /// Run the autograd tape analyzer (src/tensor/tape_analysis.h) on the
   /// first step's loss graph: abort on structural violations and report
@@ -82,7 +83,11 @@ double Accuracy(const Matrix& logits, const std::vector<int64_t>& labels,
 /// Trains `model` on `dataset` with Adam + masked cross-entropy, evaluating
 /// on the validation split each epoch and reporting test accuracy at the
 /// best validation epoch (the parameters themselves are left at their final
-/// state; the best-epoch test metric is captured on the fly).
+/// state; the best-epoch test metric is captured on the fly). Each step
+/// takes Model::TrainLogits of the train rows and each evaluation
+/// Model::EvalLogits of the val and test rows, both in increasing node
+/// order; the weights, curves and accuracies are bit for bit those of a
+/// loop over the full-batch Forward.
 TrainResult TrainModel(Model* model, const Dataset& dataset,
                        const TrainConfig& config, Rng* rng);
 

@@ -127,6 +127,34 @@ TEST(TapeAnalysisTest, OpShapeRuleCatchesMismatchedOperands) {
       << report.Summary();
 }
 
+TEST(TapeAnalysisTest, GatherRowsRuleCatchesMalformedGathers) {
+  // A gather may change the row count (and repeat rows) but keeps its one
+  // input's columns.
+  Variable a = ag::Parameter(Matrix(4, 3));
+  const TapeReport healthy = AnalyzeTape(ag::GatherRows(a, {3, 0, 3}));
+  EXPECT_TRUE(healthy.ok()) << healthy.Summary();
+
+  // Hand-wired over a constant, so the shape rule is the only one broken.
+  Variable x = ag::Constant(Matrix(4, 3));
+  auto wider = std::make_shared<Node>();
+  wider->value = Matrix(2, 5);
+  wider->op = "GatherRows";
+  wider->parents = {x.node()};
+  const TapeReport wide = AnalyzeTape(Variable(wider));
+  EXPECT_FALSE(wide.ok()) << wide.Summary();
+  EXPECT_TRUE(AnyViolationContains(wide, "gathered 5 columns from input 4x3"))
+      << wide.Summary();
+
+  auto binary = std::make_shared<Node>();
+  binary->value = Matrix(2, 3);
+  binary->op = "GatherRows";
+  binary->parents = {x.node(), x.node()};
+  const TapeReport two_parents = AnalyzeTape(Variable(binary));
+  EXPECT_FALSE(two_parents.ok()) << two_parents.Summary();
+  EXPECT_TRUE(AnyViolationContains(two_parents, "expected 1 parent(s), has 2"))
+      << two_parents.Summary();
+}
+
 TEST(TapeAnalysisTest, StaleGradShapeIsAViolation) {
   Variable parent = ag::Parameter(Matrix(3, 3));
   auto broken = std::make_shared<Node>();

@@ -74,13 +74,20 @@ int Usage() {
   return 2;
 }
 
+/// The largest --seed: seeds are read as int64 and handed to Rng unsigned.
+constexpr int64_t kMaxSeed = std::numeric_limits<int64_t>::max();
+
 int Generate(const Flags& flags) {
   const std::string name = flags.GetString("name", "");
   const std::string out = flags.GetString("out", "");
   if (name.empty() || out.empty()) return Usage();
-  Result<Dataset> dataset = BuildBenchmarkByName(
-      name, static_cast<uint64_t>(flags.GetInt("seed", 0)),
-      flags.GetDouble("scale", 1.0));
+  const std::optional<int64_t> seed =
+      CountFlag(flags, "seed", 0, 0, kMaxSeed);
+  const std::optional<double> scale = RealFlag(
+      flags, "scale", 1.0, [](double v) { return v > 0.0; }, "scale > 0");
+  if (!seed || !scale) return Usage();
+  Result<Dataset> dataset =
+      BuildBenchmarkByName(name, static_cast<uint64_t>(*seed), *scale);
   if (!dataset.ok()) return Fail(dataset.status());
   const Status saved = SaveDataset(*dataset, out);
   if (!saved.ok()) return Fail(saved);
@@ -160,8 +167,10 @@ int Train(const Flags& flags) {
       "0 <= dropout < 1");
   const std::optional<float> lr = RealFlag(
       flags, "lr", 0.01f, [](float v) { return v > 0.0f; }, "lr > 0");
+  const std::optional<int64_t> seed =
+      CountFlag(flags, "seed", 42, 0, kMaxSeed);
   if (!hidden || !steps || !order || !epochs || !patience ||
-      !checkpoint_every || !dropout || !lr) {
+      !checkpoint_every || !dropout || !lr || !seed) {
     return Usage();
   }
   Result<Dataset> dataset = LoadDataset(in);
@@ -176,7 +185,7 @@ int Train(const Flags& flags) {
     if (!checkpoint.ok()) return Fail(checkpoint.status());
     const Status same_data = CheckCheckpointDataset(*checkpoint, input);
     if (!same_data.ok()) return Fail(same_data);
-    Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 42)));
+    Rng rng(static_cast<uint64_t>(*seed));
     // Propagate with the checkpoint's recorded DP pattern set: the content
     // hash above does not cover the train split, and a correlation-selected
     // subset re-derived from a different split would silently bind the
@@ -200,7 +209,7 @@ int Train(const Flags& flags) {
   ModelConfig config;
   TrainConfig train_config;
   std::string resolved_model_name = model_name;
-  Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 42)));
+  Rng rng(static_cast<uint64_t>(*seed));
   Result<ModelPtr> model = Status::Internal("model not constructed");
   if (!resume_path.empty()) {
     // Resume: everything that shaped the original run — model name, config,

@@ -6,7 +6,9 @@
 # no loader accepts. A dropout outside [0, 1) fails a CHECK once training
 # starts, and a learning rate of nan or 0 trains a model that cannot learn.
 # A queue depth below 1 answers every query "overloaded", and a timeout past
-# the int32 range overflows the steady-clock deadline.
+# the int32 range overflows the steady-clock deadline. A seed outside
+# 0..2^63-1 or a scale that is not a positive real would otherwise wrap,
+# saturate or fall back to the default and build a different graph or model.
 #
 # usage: tools/cli_flags_smoke.sh [build-dir]
 set -u
@@ -40,6 +42,18 @@ expect_usage() {
   fi
 }
 
+# expect_generate_usage <flag>...: generate with the flags must exit 2.
+expect_generate_usage() {
+  status=0
+  "$CLI" generate --name=Texas --out="$WORK/generated.txt" "$@" \
+    > "$WORK/out.txt" 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "cli_flags_smoke: FAIL — generate $* exited $status, want 2" >&2
+    cat "$WORK/out.txt" >&2
+    exit 1
+  fi
+}
+
 # expect_serve_usage <flag>...: adpa_serve with the flags must exit 2. The
 # checkpoint and dataset paths do not exist, so a flag that is accepted
 # reaches the dataset load and exits 1 instead.
@@ -60,6 +74,11 @@ expect_usage --epochs=1 --dropout=1
 expect_usage --epochs=1 --dropout=-0.5
 expect_usage --epochs=1 --lr=nan
 expect_usage --epochs=1 --lr=0
+expect_usage --epochs=1 --seed=xyz
+expect_generate_usage --seed=abc
+expect_generate_usage --seed=-1
+expect_generate_usage --seed=99999999999999999999
+expect_generate_usage --scale=abc
 expect_serve_usage --max_queue_depth=0
 expect_serve_usage --max_queue_depth=-1
 expect_serve_usage --max_batch_nodes=0

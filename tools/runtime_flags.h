@@ -8,6 +8,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "src/core/flags.h"
 #include "src/core/parallel.h"
@@ -32,25 +33,27 @@ inline std::optional<int64_t> CountFlag(const Flags& flags, const char* name,
   return value;
 }
 
-/// The float flag `name` read through ParseReal: `fallback` when it is
-/// unset, nullopt (after an error line) when it is not a decimal with a
-/// finite float value that passes `accept`, which `range` states. The range
-/// is checked on the float a model stores, so 0.9999999999 (1.0f) is not a
-/// dropout below 1, nor 1e-50 (0.0f) a positive learning rate.
-inline std::optional<float> RealFlag(const Flags& flags, const char* name,
-                                     float fallback, bool (*accept)(float),
-                                     const char* range) {
+/// The real flag `name` read through ParseReal as a `Real` (float or
+/// double): `fallback` when it is unset, nullopt (after an error line) when
+/// it is not a decimal with a finite `Real` value that passes `accept`,
+/// which `range` states. The range is checked on the value the program
+/// stores, so 0.9999999999 (1.0f) is not a float dropout below 1, nor 1e-50
+/// (0.0f) a positive float learning rate.
+template <typename Real>
+inline std::optional<Real> RealFlag(
+    const Flags& flags, const char* name, Real fallback,
+    std::type_identity_t<bool (*)(Real)> accept, const char* range) {
   if (!flags.Has(name)) return fallback;
   const std::string text = flags.GetString(name, "");
   const std::optional<double> value = ParseReal(text);
   if (!value.has_value() ||
-      std::fabs(*value) > std::numeric_limits<float>::max() ||
-      !accept(static_cast<float>(*value))) {
-    std::fprintf(stderr, "error: --%s=%s is not a finite float with %s\n",
+      std::fabs(*value) > std::numeric_limits<Real>::max() ||
+      !accept(static_cast<Real>(*value))) {
+    std::fprintf(stderr, "error: --%s=%s is not a finite real with %s\n",
                  name, text.c_str(), range);
     return std::nullopt;
   }
-  return static_cast<float>(*value);
+  return static_cast<Real>(*value);
 }
 
 /// Applies --threads=N (0..kMaxThreads; 0 = auto: ADPA_NUM_THREADS, then
