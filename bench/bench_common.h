@@ -1,28 +1,33 @@
 #pragma once
 // Shared plumbing for the per-table/figure bench binaries. Every binary
 // accepts:
-//   --repeats=N   seeded repetitions per cell (default varies per bench)
-//   --epochs=N    max training epochs
-//   --patience=N  early-stopping patience (0 disables)
-//   --scale=F     node-count multiplier for the registry datasets
-//   --threads=N   parallel runtime width (0..1024, 0 = auto; a value
-//                 outside that range is ignored; results are identical
-//                 for any value, see src/core/parallel.h)
+//   --repeats=N   seeded repetitions per cell, 1..2^31-1 (default varies
+//                 per bench)
+//   --epochs=N    max training epochs, 0..2^31-1
+//   --patience=N  early-stopping patience, 0..2^31-1 (0 disables)
+//   --scale=F     node-count multiplier for the registry datasets, a real
+//                 > 0
+//   --threads=N   parallel runtime width (0..1024, 0 = auto; results are
+//                 identical for any value, see src/core/parallel.h)
+//   --simd_level=<portable|avx2|avx512>
+//                 kernel dispatch level, as ADPA_SIMD_LEVEL sets it
 // Defaults are sized for a single-core sweep; raise them (e.g. --repeats=10
 // --epochs=300 --scale=1.5) to approach the paper's full protocol.
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 
 #include "src/core/flags.h"
 #include "src/core/logging.h"
-#include "src/core/parallel.h"
 #include "src/core/strings.h"
 #include "src/data/benchmarks.h"
 #include "src/models/factory.h"
 #include "src/train/experiment.h"
 #include "src/train/trainer.h"
+#include "tools/runtime_flags.h"
 
 namespace adpa {
 namespace bench {
@@ -34,30 +39,41 @@ struct BenchOptions {
   double scale = 0.5;
 };
 
+inline int BenchUsage() {
+  std::fprintf(stderr,
+               "usage: <bench> [--repeats=N --epochs=N --patience=N "
+               "--scale=F --threads=N\n"
+               "                --simd_level=<portable|avx2|avx512>]\n");
+  return 2;
+}
+
+/// Reads the flags above over `defaults`. Any other value or flag, or a
+/// positional argument, prints an error line and the usage and exits 2
+/// before the bench starts; a level this CPU cannot run exits 1.
 inline BenchOptions ParseBenchOptions(int argc, char** argv,
                                       BenchOptions defaults) {
   Flags flags;
-  if (!flags.Parse(argc, argv)) {
-    std::fprintf(stderr, "bad flags; using defaults\n");
-    return defaults;
+  if (!flags.Parse(argc, argv)) std::exit(BenchUsage());
+  if (const int code = ApplyRuntimeFlags(flags, BenchUsage); code != 0) {
+    std::exit(code);
   }
-  BenchOptions options = defaults;
-  options.repeats =
-      static_cast<int>(flags.GetInt("repeats", defaults.repeats));
-  options.epochs = static_cast<int>(flags.GetInt("epochs", defaults.epochs));
-  options.patience =
-      static_cast<int>(flags.GetInt("patience", defaults.patience));
-  options.scale = flags.GetDouble("scale", defaults.scale);
-  if (flags.Has("threads")) {
-    const std::optional<int> threads =
-        ParseThreadCount(flags.GetString("threads", ""));
-    if (threads.has_value()) {
-      SetNumThreads(*threads);
-    } else {
-      std::fprintf(stderr, "bad --threads; using the automatic width\n");
-    }
+  // RunRepeated needs at least one repetition.
+  const std::optional<int64_t> repeats =
+      CountFlag(flags, "repeats", defaults.repeats, 1, kMaxCount);
+  const std::optional<int64_t> epochs =
+      CountFlag(flags, "epochs", defaults.epochs, 0, kMaxCount);
+  const std::optional<int64_t> patience =
+      CountFlag(flags, "patience", defaults.patience, 0, kMaxCount);
+  const std::optional<double> scale = RealFlag(
+      flags, "scale", defaults.scale, [](double v) { return v > 0.0; },
+      "scale > 0");
+  if (!repeats || !epochs || !patience || !scale || !AllFlagsRead(flags)) {
+    std::exit(BenchUsage());
   }
-  return options;
+  return {.repeats = static_cast<int>(*repeats),
+          .epochs = static_cast<int>(*epochs),
+          .patience = static_cast<int>(*patience),
+          .scale = *scale};
 }
 
 inline TrainConfig MakeTrainConfig(const BenchOptions& options) {

@@ -221,10 +221,8 @@ BENCHMARK(BM_FusionMatMulTransposeA)
     ->ArgsProduct({{0, 1, 2}, {1, 2, 4}})
     ->Unit(benchmark::kMillisecond);
 
-// The per-hop propagation chain out = (1-alpha) * (A_hat * x) + alpha * x,
-// fused into one pass (SparseMatrix::MultiplyAxpbyInto) vs. the unfused
-// Multiply + ScaleInPlace + AddScaledInPlace sequence it replaces. Both run
-// at the startup dispatch level.
+// Label propagation's hop out = (1-alpha) * (A_hat * x) + alpha * x, as
+// PropagateLabels runs it each step, at the startup dispatch level.
 void BM_HopChainUnfused(benchmark::State& state) {
   const int64_t n = state.range(0);
   const int64_t f = state.range(1);
@@ -243,27 +241,6 @@ void BM_HopChainUnfused(benchmark::State& state) {
   SetNumThreads(0);
 }
 BENCHMARK(BM_HopChainUnfused)
-    ->ArgNames({"n", "f", "threads"})
-    ->Args({4000, 128, 1})
-    ->Args({4000, 128, 8});
-
-void BM_HopChainFused(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  const int64_t f = state.range(1);
-  SetNumThreads(static_cast<int>(state.range(2)));
-  Dataset ds = MakeGraph(n, 8.0, f);
-  const SparseMatrix op =
-      NormalizeSymmetric(AddSelfLoops(ds.graph.AdjacencyMatrix()));
-  const float alpha = 0.15f;
-  Matrix out;  // reused across iterations, as in the serve/propagation paths
-  for (auto _ : state) {
-    op.MultiplyAxpbyInto(ds.features, ds.features, alpha, 1.0f - alpha, &out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * op.nnz() * f);
-  SetNumThreads(0);
-}
-BENCHMARK(BM_HopChainFused)
     ->ArgNames({"n", "f", "threads"})
     ->Args({4000, 128, 1})
     ->Args({4000, 128, 8});

@@ -36,6 +36,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -243,23 +244,43 @@ OpenLoopStats RunOpenLoop(const std::string& host, uint16_t port,
 }
 
 int Main(int argc, char** argv) {
-  Flags flags;
-  if (!flags.Parse(argc, argv)) return 2;
-  const std::string name = flags.GetString("name", "Texas");
-  const double scale = flags.GetDouble("scale", 1.0);
-  const int nodes_per_request =
-      static_cast<int>(flags.GetInt("nodes_per_request", 8));
-  const int requests_per_connection =
-      static_cast<int>(flags.GetInt("requests_per_connection", 1000));
-  const double open_loop_seconds = flags.GetDouble("open_loop_seconds", 2.0);
-  const double slo_p99_ms = flags.GetDouble("slo_p99_ms", 2.0);
+  // A request's node count shares ParseRequestLine's cap.
+  constexpr int64_t kMaxRequestNodes = int64_t{1} << 20;
   const int nproc =
       std::max(1, static_cast<int>(::sysconf(_SC_NPROCESSORS_ONLN)));
-  const int threads =
-      static_cast<int>(flags.GetInt("threads", std::min(8, nproc)));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const auto positive = [](double v) { return v > 0.0; };
+  Flags flags;
+  const bool parsed = flags.Parse(argc, argv);
+  const std::string name = flags.GetString("name", "Texas");
+  const std::optional<double> scale =
+      RealFlag(flags, "scale", 1.0, positive, "scale > 0");
+  const std::optional<int64_t> nodes_flag =
+      CountFlag(flags, "nodes_per_request", 8, 1, kMaxRequestNodes);
+  const std::optional<int64_t> requests_flag =
+      CountFlag(flags, "requests_per_connection", 1000, 1, kMaxCount);
+  const std::optional<double> open_loop_seconds = RealFlag(
+      flags, "open_loop_seconds", 2.0, positive, "open_loop_seconds > 0");
+  const std::optional<double> slo_p99_ms =
+      RealFlag(flags, "slo_p99_ms", 2.0, positive, "slo_p99_ms > 0");
+  const std::optional<int64_t> threads_flag =
+      CountFlag(flags, "threads", std::min(8, nproc), 0, kMaxThreads);
+  const std::optional<int64_t> seed_flag =
+      CountFlag(flags, "seed", 1, 0, kMaxSeed);
+  if (!parsed || !scale || !nodes_flag || !requests_flag ||
+      !open_loop_seconds || !slo_p99_ms || !threads_flag || !seed_flag ||
+      !AllFlagsRead(flags)) {
+    std::fprintf(stderr, "usage: load_bench [--name=S --scale=F "
+                         "--nodes_per_request=N --requests_per_connection=N\n"
+                         "  --open_loop_seconds=F --slo_p99_ms=F --threads=N "
+                         "--seed=N]\n");
+    return 2;
+  }
+  const int nodes_per_request = static_cast<int>(*nodes_flag);
+  const int requests_per_connection = static_cast<int>(*requests_flag);
+  const int threads = static_cast<int>(*threads_flag);
+  const uint64_t seed = static_cast<uint64_t>(*seed_flag);
 
-  Result<Dataset> dataset = BuildBenchmarkByName(name, seed, scale);
+  Result<Dataset> dataset = BuildBenchmarkByName(name, seed, *scale);
   ADPA_CHECK(dataset.ok()) << dataset.status().ToString();
   Rng rng(seed);
   ModelConfig config;
@@ -306,7 +327,7 @@ int Main(int argc, char** argv) {
               build_type, nproc, simd::LevelName(simd::ActiveLevel()),
               dataset->name.c_str(),
               static_cast<long long>(dataset->num_nodes()), threads,
-              nodes_per_request, slo_p99_ms);
+              nodes_per_request, *slo_p99_ms);
 
   const int connection_counts[] = {1, 4, 16};
   double capacity_qps = 0.0;
@@ -334,8 +355,8 @@ int Main(int argc, char** argv) {
   for (int i = 0; i < kProbes; ++i) {
     const double offered = i == 0 ? hi_qps : 0.5 * (lo_qps + hi_qps);
     const OpenLoopStats stats =
-        RunOpenLoop("127.0.0.1", port, queries, offered, open_loop_seconds);
-    const bool meets_slo = stats.p99_ms <= slo_p99_ms;
+        RunOpenLoop("127.0.0.1", port, queries, offered, *open_loop_seconds);
+    const bool meets_slo = stats.p99_ms <= *slo_p99_ms;
     if (meets_slo) {
       lo_qps = offered;
       sustained_qps = std::max(sustained_qps, stats.achieved_qps);

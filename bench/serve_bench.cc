@@ -16,7 +16,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -103,17 +105,34 @@ RunStats RunAtThreadCount(const serve::InferenceSession& session, int threads,
 }
 
 int Main(int argc, char** argv) {
+  // A request's node count shares ParseRequestLine's cap, and a burst is
+  // queued whole, so it stays within the batcher's default queue depth.
+  constexpr int64_t kMaxRequestNodes = int64_t{1} << 20;
   Flags flags;
-  if (!flags.Parse(argc, argv)) return 2;
+  const bool parsed = flags.Parse(argc, argv);
   const std::string name = flags.GetString("name", "Texas");
-  const double scale = flags.GetDouble("scale", 1.0);
-  const int requests = static_cast<int>(flags.GetInt("requests", 400));
-  const int nodes_per_request =
-      static_cast<int>(flags.GetInt("nodes_per_request", 8));
-  const int burst = static_cast<int>(flags.GetInt("burst", 16));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const std::optional<double> scale = RealFlag(
+      flags, "scale", 1.0, [](double v) { return v > 0.0; }, "scale > 0");
+  const std::optional<int64_t> requests_flag =
+      CountFlag(flags, "requests", 400, 1, kMaxCount);
+  const std::optional<int64_t> nodes_flag =
+      CountFlag(flags, "nodes_per_request", 8, 1, kMaxRequestNodes);
+  const std::optional<int64_t> burst_flag = CountFlag(
+      flags, "burst", 16, 1, serve::MicroBatcher::Options{}.max_queue_depth);
+  const std::optional<int64_t> seed_flag =
+      CountFlag(flags, "seed", 1, 0, kMaxSeed);
+  if (!parsed || !scale || !requests_flag || !nodes_flag || !burst_flag ||
+      !seed_flag || !AllFlagsRead(flags)) {
+    std::fprintf(stderr, "usage: serve_bench [--name=S --scale=F --requests=N "
+                         "--nodes_per_request=N --burst=N --seed=N]\n");
+    return 2;
+  }
+  const int requests = static_cast<int>(*requests_flag);
+  const int nodes_per_request = static_cast<int>(*nodes_flag);
+  const int burst = static_cast<int>(*burst_flag);
+  const uint64_t seed = static_cast<uint64_t>(*seed_flag);
 
-  Result<Dataset> dataset = BuildBenchmarkByName(name, seed, scale);
+  Result<Dataset> dataset = BuildBenchmarkByName(name, seed, *scale);
   ADPA_CHECK(dataset.ok()) << dataset.status().ToString();
   Rng rng(seed);
   ModelConfig config;

@@ -29,12 +29,12 @@
 // for every chaos seed. Exit code 0 iff all invariants held and at least
 // --min_ok classes replies were observed.
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -424,41 +424,58 @@ bool LoadGolden(const std::string& path, int64_t patterns,
 }
 
 int Main(int argc, char** argv) {
+  // One thread per connection; the pattern pool and a query's node count
+  // share ParseRequestLine's node cap.
+  constexpr int64_t kMaxConnections = 256;
+  constexpr int64_t kMaxNodes = int64_t{1} << 20;
   Flags flags;
-  if (!flags.Parse(argc, argv) || !flags.Has("connect") ||
-      !flags.Has("golden")) {
+  const bool parsed = flags.Parse(argc, argv);
+  const std::string connect_address = flags.GetString("connect", "");
+  const std::string golden_path = flags.GetString("golden", "");
+  const std::optional<bool> record_golden = SwitchFlag(flags, "record_golden");
+  const std::optional<int64_t> seconds =
+      CountFlag(flags, "seconds", 5, 1, kMaxCount);
+  const std::optional<int64_t> seed = CountFlag(flags, "seed", 1, 0, kMaxSeed);
+  const std::optional<int64_t> connections =
+      CountFlag(flags, "connections", 4, 1, kMaxConnections);
+  const std::optional<int64_t> patterns =
+      CountFlag(flags, "patterns", 32, 1, kMaxNodes);
+  const std::optional<int64_t> num_nodes =
+      CountFlag(flags, "num_nodes", 183, 1, kMaxCount);
+  const std::optional<int64_t> max_query_nodes =
+      CountFlag(flags, "max_query_nodes", 8, 1, kMaxNodes);
+  const std::string reload_path = flags.GetString("reload_path", "");
+  const std::optional<int64_t> reload_every =
+      CountFlag(flags, "reload_every", 64, 1, kMaxCount);
+  // At 0 a PASS would check nothing.
+  const std::optional<int64_t> min_ok =
+      CountFlag(flags, "min_ok", 1, 1, kMaxCount);
+  if (!parsed || connect_address.empty() || golden_path.empty() ||
+      !record_golden || !seconds || !seed || !connections || !patterns ||
+      !num_nodes || !max_query_nodes || !reload_every || !min_ok ||
+      !AllFlagsRead(flags)) {
     std::fprintf(
         stderr,
         "usage: soak_harness --connect=HOST:PORT --golden=FILE\n"
         "         [--record_golden] [--seconds=N] [--seed=N]\n"
         "         [--connections=K] [--patterns=P] [--num_nodes=N]\n"
-        "         [--max_query_nodes=N] [--reload_path=F "
-        "--reload_every=N]\n"
+        "         [--max_query_nodes=N] [--reload_path=F --reload_every=N]\n"
         "         [--min_ok=N]\n");
     return 2;
   }
-  const Result<net::HostPort> connect =
-      net::ParseHostPort(flags.GetString("connect", ""));
+  const Result<net::HostPort> connect = net::ParseHostPort(connect_address);
   if (!connect.ok()) {
     std::fprintf(stderr, "soak: %s\n", connect.status().message().c_str());
     return 2;
   }
-  SoakConfig config;
-  config.host = connect->host;
-  config.port = connect->port;
-  config.seconds = flags.GetInt("seconds", 5);
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  config.connections = flags.GetInt("connections", 4);
-  config.patterns = flags.GetInt("patterns", 32);
-  config.num_nodes = flags.GetInt("num_nodes", 183);
-  config.max_query_nodes = flags.GetInt("max_query_nodes", 8);
-  config.reload_path = flags.GetString("reload_path", "");
-  config.reload_every = std::max<int64_t>(1, flags.GetInt("reload_every", 64));
-  const std::string golden_path = flags.GetString("golden", "");
+  SoakConfig config{.host = connect->host, .port = connect->port,
+                    .seconds = *seconds, .seed = static_cast<uint64_t>(*seed),
+                    .connections = *connections, .patterns = *patterns,
+                    .num_nodes = *num_nodes,
+                    .max_query_nodes = *max_query_nodes,
+                    .reload_path = reload_path, .reload_every = *reload_every};
 
-  if (flags.GetBool("record_golden", false)) {
-    return RecordGolden(config, golden_path);
-  }
+  if (*record_golden) return RecordGolden(config, golden_path);
 
   std::vector<std::string> golden;
   if (!LoadGolden(golden_path, config.patterns, &golden)) {
@@ -515,7 +532,6 @@ int Main(int argc, char** argv) {
       static_cast<unsigned long long>(total.recv_timeouts),
       static_cast<unsigned long long>(total.lost_replies));
 
-  const int64_t min_ok = flags.GetInt("min_ok", 1);
   bool failed = false;
   if (total.Violated()) {
     std::fprintf(stderr,
@@ -527,12 +543,12 @@ int Main(int argc, char** argv) {
                  static_cast<unsigned long long>(total.reply_shape_errors));
     failed = true;
   }
-  if (total.ok_replies < static_cast<uint64_t>(min_ok)) {
+  if (total.ok_replies < static_cast<uint64_t>(*min_ok)) {
     std::fprintf(stderr,
                  "soak: FAIL — only %llu ok replies (need >= %lld); the "
                  "harness made no meaningful progress\n",
                  static_cast<unsigned long long>(total.ok_replies),
-                 static_cast<long long>(min_ok));
+                 static_cast<long long>(*min_ok));
     failed = true;
   }
   if (!failed) std::fprintf(stderr, "soak: PASS\n");

@@ -2,8 +2,7 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
-#include <iostream>
+#include <cstdio>
 
 namespace adpa {
 
@@ -36,7 +35,7 @@ bool Flags::Parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      std::cerr << "Unexpected positional argument: " << arg << "\n";
+      std::fprintf(stderr, "error: positional argument %s\n", argv[i]);
       return false;
     }
     arg = arg.substr(2);
@@ -54,44 +53,54 @@ bool Flags::Parse(int argc, char** argv) {
 
 std::string Flags::GetString(const std::string& name,
                              const std::string& default_value) const {
+  read_.insert(name);
   auto it = values_.find(name);
   return it == values_.end() ? default_value : it->second;
 }
 
-int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  char* end = nullptr;
-  const int64_t parsed = std::strtoll(it->second.c_str(), &end, 10);
-  if (it->second.empty() || end == nullptr || *end != '\0') {
-    std::cerr << "Warning: flag --" << name << "=" << it->second
-              << " is not an integer; using default " << default_value << "\n";
-    return default_value;
-  }
-  return parsed;
-}
-
-double Flags::GetDouble(const std::string& name, double default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  char* end = nullptr;
-  const double parsed = std::strtod(it->second.c_str(), &end);
-  if (it->second.empty() || end == nullptr || *end != '\0') {
-    std::cerr << "Warning: flag --" << name << "=" << it->second
-              << " is not a number; using default " << default_value << "\n";
-    return default_value;
-  }
-  return parsed;
-}
-
-bool Flags::GetBool(const std::string& name, bool default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
-}
-
 bool Flags::Has(const std::string& name) const {
+  read_.insert(name);
   return values_.count(name) > 0;
+}
+
+std::vector<std::string> Flags::Unread() const {
+  std::vector<std::string> unread;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) == 0) unread.push_back(name);
+  }
+  return unread;
+}
+
+bool AllFlagsRead(const Flags& flags) {
+  const std::vector<std::string> unread = flags.Unread();
+  for (const std::string& name : unread) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", name.c_str());
+  }
+  return unread.empty();
+}
+
+std::optional<int64_t> CountFlag(const Flags& flags, const char* name,
+                                 int64_t fallback, int64_t lo, int64_t hi) {
+  if (!flags.Has(name)) return fallback;
+  const std::string text = flags.GetString(name, "");
+  const std::optional<int64_t> value = ParseDecimal(text, lo, hi);
+  if (!value.has_value()) {
+    std::fprintf(stderr, "error: --%s=%s is not an integer in %lld..%lld\n",
+                 name, text.c_str(), static_cast<long long>(lo),
+                 static_cast<long long>(hi));
+  }
+  return value;
+}
+
+std::optional<bool> SwitchFlag(const Flags& flags, const char* name) {
+  if (!flags.Has(name)) return false;
+  const std::string text = flags.GetString(name, "");
+  if (text == "true" || text == "1" || text == "yes") return true;
+  if (text == "false" || text == "0" || text == "no") return false;
+  std::fprintf(stderr,
+               "error: --%s=%s is not a switch (true, 1, yes, false, 0, no)\n",
+               name, text.c_str());
+  return std::nullopt;
 }
 
 }  // namespace adpa

@@ -183,32 +183,6 @@ Matrix SparseMatrix::Multiply(const Matrix& dense) const {
   return out;
 }
 
-void SparseMatrix::MultiplyAxpbyInto(const Matrix& dense,
-                                     const Matrix& residual, float alpha,
-                                     float beta, Matrix* out) const {
-  ADPA_CHECK_EQ(cols_, dense.rows());
-  ADPA_CHECK_EQ(residual.rows(), rows_);
-  ADPA_CHECK_EQ(residual.cols(), dense.cols());
-  ADPA_CHECK(out != &dense && out != &residual);
-  DebugCheckInvariants();
-  out->Resize(rows_, dense.cols());
-  const int64_t f = dense.cols();
-  if (rows_ == 0 || f == 0) return;
-  const simd::KernelTable& kernels = simd::Kernels();
-  const int64_t* row_ptr = row_ptr_.data();
-  const int32_t* col_idx = col_idx_.data();
-  const float* values = values_.data();
-  const float* in = dense.data();
-  const float* res = residual.data();
-  float* out_data = out->data();
-  ParallelFor(0, rows_, SpmmRowGrain(rows_, nnz(), f),
-              [&](int64_t row_begin, int64_t row_end) {
-                kernels.spmm_axpby_rows(row_ptr, col_idx, values, in, res,
-                                        alpha, beta, f, row_begin, row_end,
-                                        out_data);
-              });
-}
-
 Matrix SparseMatrix::MultiplyTransposed(const Matrix& dense) const {
   ADPA_CHECK_EQ(rows_, dense.rows());
   DebugCheckInvariants();

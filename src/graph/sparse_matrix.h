@@ -80,16 +80,6 @@ class SparseMatrix {
   /// not alias `dense`. Bitwise identical to Multiply.
   void MultiplyInto(const Matrix& dense, Matrix* out) const;
 
-  /// Fused per-hop propagation chain (DESIGN.md §12):
-  ///   out = beta * (this * dense) + alpha * residual
-  /// in one pass over the output — the SpMM, the scale, and the residual
-  /// add of the unfused Multiply + ScaleInPlace + AddScaledInPlace sequence
-  /// without materializing the intermediate product. Bitwise identical to
-  /// that unfused sequence at every dispatch level. `residual` may alias
-  /// `dense`; `out` must alias neither.
-  void MultiplyAxpbyInto(const Matrix& dense, const Matrix& residual,
-                         float alpha, float beta, Matrix* out) const;
-
   /// out = thisᵀ * dense, computed by scatter without materializing thisᵀ.
   Matrix MultiplyTransposed(const Matrix& dense) const;
 

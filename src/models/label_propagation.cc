@@ -23,10 +23,10 @@ LabelPropagationResult PropagateLabels(const Dataset& dataset, int steps,
   Matrix scores = seed;
   Matrix propagated;  // double-buffered across steps; two allocations total
   for (int step = 0; step < steps; ++step) {
-    // Fused single pass: propagated = (1-alpha) * op*scores + alpha * seed
-    // (bitwise identical to the unfused Multiply/ScaleInPlace/
-    // AddScaledInPlace sequence).
-    op.MultiplyAxpbyInto(scores, seed, alpha, 1.0f - alpha, &propagated);
+    // propagated = (1-alpha) * op*scores + alpha * seed
+    op.MultiplyInto(scores, &propagated);
+    propagated.ScaleInPlace(1.0f - alpha);
+    propagated.AddScaledInPlace(seed, alpha);
     // Clamp training rows to their known labels.
     for (int64_t i : dataset.train_idx) {
       float* row = propagated.Row(i);

@@ -9,8 +9,8 @@
 // MatMulTransposeB keeps this level's 8-lane dot chain (simd.h). Per output
 // element the order is a fixed function of shapes, so results at this
 // level are bitwise identical for any thread count. The float32 kernels
-// (SpMM, the fused hop, the elementwise ops) are the shared templates, which
-// give every level's bits.
+// (SpMM, the elementwise ops) are the shared templates, which give every
+// level's bits.
 
 #include <cstdint>
 

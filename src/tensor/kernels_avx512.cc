@@ -11,8 +11,8 @@
 // 16-lane double dot chain and MatMulTransposeA the all-level increasing-row
 // double chain (simd.h). The per-element order is a pure function of shapes
 // (bitwise thread-count invariant within the level). The float32 kernels
-// (SpMM, the fused hop, the elementwise ops) are the shared templates, which
-// give every level's bits.
+// (SpMM, the elementwise ops) are the shared templates, which give every
+// level's bits.
 
 #include <cstdint>
 

@@ -221,10 +221,9 @@ void GemmAtRowsTiled(const float* a, const float* b, int64_t n, int64_t k,
 }
 
 const KernelTable kPortableTable = {
-    GemmRowsPortable,    GemmBtRowsPortable,       GemmAtRowsPortable,
-    SpmmRowsVec<Scalar>, SpmmAxpbyRowsVec<Scalar>, AddVec<Scalar>,
-    SubVec<Scalar>,      MulVec<Scalar>,           ScaleVec<Scalar>,
-    AxpyVec<Scalar>,     ScaleToVec<Scalar>,
+    GemmRowsPortable, GemmBtRowsPortable, GemmAtRowsPortable,
+    SpmmRowsVec<Scalar>, AddVec<Scalar>, SubVec<Scalar>, MulVec<Scalar>,
+    ScaleVec<Scalar>, AxpyVec<Scalar>, ScaleToVec<Scalar>,
 };
 
 }  // namespace adpa::simd::detail

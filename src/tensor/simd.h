@@ -12,13 +12,13 @@ namespace adpa::simd {
 /// Determinism contract per level: every kernel fixes its per-output-element
 /// accumulation order as a function of shapes only, so results at one level
 /// are bitwise identical run-to-run and for any thread count. The float32
-/// kernels (SpMM, the fused hop, the elementwise ops) are written once for
-/// every level and give the same bits at every level, in every build. The
-/// dense GEMMs may differ from level to level in the low bits (float32 runs
-/// in the AVX-512 MatMul, lane-split dot chains in A*Bᵀ); the KernelTable
-/// docs state each GEMM's chain per level, and which of them agree bit for
-/// bit across levels (tests/simd_test.cc checks every chain against the
-/// per-element loops of tests/gemm_oracle.h).
+/// kernels (SpMM, the elementwise ops) are written once for every level and
+/// give the same bits at every level, in every build. The dense GEMMs may
+/// differ from level to level in the low bits (float32 runs in the AVX-512
+/// MatMul, lane-split dot chains in A*Bᵀ); the KernelTable docs state each
+/// GEMM's chain per level, and which of them agree bit for bit across levels
+/// (tests/simd_test.cc checks every chain against the per-element loops of
+/// tests/gemm_oracle.h).
 enum class Level {
   kPortable = 0,  ///< Plain C++: the pre-dispatch GEMM loops, unchanged.
   kAvx2 = 1,      ///< AVX2 + FMA, 256-bit lanes.
@@ -111,20 +111,6 @@ struct KernelTable {
   void (*spmm_rows)(const int64_t* row_ptr, const int32_t* col_idx,
                     const float* values, const float* dense, int64_t cols,
                     int64_t row_begin, int64_t row_end, float* out);
-
-  /// Fused per-hop chain over output rows [row_begin, row_end):
-  ///   out[r] = beta * (A * dense)[r] + alpha * residual[r]
-  /// in a single pass (SpMM -> scale -> residual add without materializing
-  /// the intermediate). `residual` may alias `dense`; it must not alias
-  /// `out`. Per element: spmm_rows' chain, then one multiply by beta, then
-  /// one FMA of alpha * residual; so it matches the unfused
-  /// Multiply+ScaleInPlace+AddScaledInPlace sequence operation for
-  /// operation, at every level.
-  void (*spmm_axpby_rows)(const int64_t* row_ptr, const int32_t* col_idx,
-                          const float* values, const float* dense,
-                          const float* residual, float alpha, float beta,
-                          int64_t cols, int64_t row_begin, int64_t row_end,
-                          float* out);
 
   /// Elementwise span kernels: one float32 operation per element, rounded
   /// once (axpy is an FMA), so every level gives the same bits.

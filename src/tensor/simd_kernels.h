@@ -250,7 +250,7 @@ inline void AxpyRowVec(float* dst, const float* src, float w, int64_t n) {
 }
 
 /// KernelTable::axpy: an out-of-line entry around AxpyRowVec, which the
-/// SpMM bodies inline. Putting the inline row kernel in the table instead
+/// SpMM body inlines. Putting the inline row kernel in the table instead
 /// changes the entry's register allocation.
 template <class V>
 ADPA_HOT void AxpyVec(float* dst, const float* src, float factor, int64_t n) {
@@ -311,10 +311,6 @@ ADPA_HOT void ScaleToVec(float* dst, const float* src, float factor,
 /// chain.
 inline constexpr int64_t kSpmmColBlock = 1024;
 
-// The two SpMM bodies stay separate on purpose: folding the fused finalize
-// into the plain kernel behind a flag changes the plain kernel's register
-// allocation.
-
 /// KernelTable::spmm_rows: each output element starts at +0.0f and takes one
 /// AxpyRowVec term per nonzero of its row, in CSR order.
 template <class V>
@@ -335,40 +331,13 @@ ADPA_HOT void SpmmRowsVec(const int64_t* row_ptr, const int32_t* col_idx,
   }
 }
 
-/// KernelTable::spmm_axpby_rows: SpmmRowsVec's row, then the very ScaleVec
-/// and AxpyRowVec that the unfused ScaleInPlace + AddScaledInPlace sequence
-/// dispatches to, so fused == unfused holds bit for bit by construction (an
-/// open-coded "equivalent" loop is not enough: -ffp-contract may contract
-/// it differently).
-template <class V>
-ADPA_HOT void SpmmAxpbyRowsVec(const int64_t* row_ptr, const int32_t* col_idx,
-                               const float* values, const float* dense,
-                               const float* residual, float alpha, float beta,
-                               int64_t cols, int64_t row_begin,
-                               int64_t row_end, float* out) {
-  for (int64_t c0 = 0; c0 < cols; c0 += kSpmmColBlock) {
-    const int64_t width = std::min<int64_t>(kSpmmColBlock, cols - c0);
-    for (int64_t r = row_begin; r < row_end; ++r) {
-      float* out_row = out + r * cols + c0;
-      std::fill(out_row, out_row + width, 0.0f);
-      for (int64_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
-        AxpyRowVec<V>(out_row, dense + int64_t{col_idx[p]} * cols + c0,
-                      values[p], width);
-      }
-      ScaleVec<V>(out_row, beta, width);
-      AxpyRowVec<V>(out_row, residual + r * cols + c0, alpha, width);
-    }
-  }
-}
-
 /// A vector level's table: its own forward GEMM, the backward GEMM
 /// templates above over its register tiles, and the float32 kernels.
 template <class V>
 constexpr KernelTable VecTable(decltype(KernelTable::gemm_rows) gemm_rows) {
-  return {gemm_rows,      GemmBtRowsTiled<V>,  GemmAtRowsVec<V>,
-          SpmmRowsVec<V>, SpmmAxpbyRowsVec<V>, AddVec<V>,
-          SubVec<V>,      MulVec<V>,           ScaleVec<V>,
-          AxpyVec<V>,     ScaleToVec<V>};
+  return {gemm_rows,  GemmBtRowsTiled<V>, GemmAtRowsVec<V>, SpmmRowsVec<V>,
+          AddVec<V>,  SubVec<V>,          MulVec<V>,        ScaleVec<V>,
+          AxpyVec<V>, ScaleToVec<V>};
 }
 
 }  // namespace adpa::simd::detail

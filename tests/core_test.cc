@@ -5,6 +5,8 @@
 #include <limits>
 #include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -185,34 +187,40 @@ TEST(StringsTest, TablePrinterAlignsColumns) {
 
 // ----------------------------------------------------------------- Flags --
 
-TEST(FlagsTest, ParsesKeyEqualsValue) {
-  const char* argv[] = {"prog", "--epochs=50", "--lr=0.01", "--name=test"};
+/// Flags parsed from `args`, each one argv entry after the program name.
+Flags ParseArgs(std::vector<std::string> args) {
+  std::vector<char*> argv = {const_cast<char*>("prog")};
+  for (std::string& arg : args) argv.push_back(arg.data());
   Flags flags;
-  ASSERT_TRUE(flags.Parse(4, const_cast<char**>(argv)));
-  EXPECT_EQ(flags.GetInt("epochs", 0), 50);
-  EXPECT_DOUBLE_EQ(flags.GetDouble("lr", 0.0), 0.01);
+  EXPECT_TRUE(flags.Parse(static_cast<int>(argv.size()), argv.data()));
+  return flags;
+}
+
+bool Positive(double v) { return v > 0.0; }
+
+TEST(FlagsTest, ParsesKeyEqualsValue) {
+  const Flags flags = ParseArgs({"--epochs=50", "--lr=0.01", "--name=test"});
+  EXPECT_EQ(CountFlag(flags, "epochs", 0, 0, 100), 50);
+  EXPECT_EQ(RealFlag(flags, "lr", 0.0, Positive, "lr > 0"), 0.01);
   EXPECT_EQ(flags.GetString("name", ""), "test");
 }
 
 TEST(FlagsTest, ParsesSpaceSeparatedValue) {
-  const char* argv[] = {"prog", "--epochs", "50"};
-  Flags flags;
-  ASSERT_TRUE(flags.Parse(3, const_cast<char**>(argv)));
-  EXPECT_EQ(flags.GetInt("epochs", 0), 50);
+  const Flags flags = ParseArgs({"--epochs", "50"});
+  EXPECT_EQ(CountFlag(flags, "epochs", 0, 0, 100), 50);
 }
 
 TEST(FlagsTest, BareFlagIsTrue) {
-  const char* argv[] = {"prog", "--verbose"};
-  Flags flags;
-  ASSERT_TRUE(flags.Parse(2, const_cast<char**>(argv)));
-  EXPECT_TRUE(flags.GetBool("verbose", false));
+  const Flags flags = ParseArgs({"--verbose"});
+  EXPECT_EQ(SwitchFlag(flags, "verbose"), true);
 }
 
 TEST(FlagsTest, DefaultsWhenMissing) {
-  Flags flags;
-  EXPECT_EQ(flags.GetInt("absent", 7), 7);
+  const Flags flags;
+  EXPECT_EQ(CountFlag(flags, "absent", 7, 0, 5), 7);  // not checked
+  EXPECT_EQ(RealFlag(flags, "absent", -1.0, Positive, "> 0"), -1.0);
   EXPECT_EQ(flags.GetString("absent", "x"), "x");
-  EXPECT_FALSE(flags.GetBool("absent", false));
+  EXPECT_EQ(SwitchFlag(flags, "absent"), false);
   EXPECT_FALSE(flags.Has("absent"));
 }
 
@@ -222,15 +230,132 @@ TEST(FlagsTest, RejectsPositionalArguments) {
   EXPECT_FALSE(flags.Parse(2, const_cast<char**>(argv)));
 }
 
-TEST(FlagsTest, MalformedNumberFallsBackToDefault) {
-  // An empty value is malformed too: strtoll/strtod consume nothing and
-  // would otherwise read it as 0.
-  const char* argv[] = {"prog", "--epochs=abc", "--threads=", "--lr="};
-  Flags flags;
-  ASSERT_TRUE(flags.Parse(4, const_cast<char**>(argv)));
-  EXPECT_EQ(flags.GetInt("epochs", 12), 12);
-  EXPECT_EQ(flags.GetInt("threads", 3), 3);
-  EXPECT_EQ(flags.GetDouble("lr", 0.01), 0.01);
+TEST(FlagsTest, MalformedNumberIsRejected) {
+  // An empty value is malformed too, not a zero and not the default.
+  const Flags flags = ParseArgs({"--epochs=abc", "--threads=", "--lr="});
+  EXPECT_EQ(CountFlag(flags, "epochs", 12, 0, 100), std::nullopt);
+  EXPECT_EQ(CountFlag(flags, "threads", 3, 0, 100), std::nullopt);
+  EXPECT_EQ(RealFlag(flags, "lr", 0.01, Positive, "lr > 0"), std::nullopt);
+}
+
+TEST(FlagsTest, UnreadListsTheFlagsNoReaderAskedFor) {
+  Flags flags = ParseArgs({"--epochs=5", "--epoch=1", "--undirect",
+                           "--lr=nan", "--out=f"});
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(flags.Unread(),
+            (Names{"epoch", "epochs", "lr", "out", "undirect"}));
+  EXPECT_EQ(CountFlag(flags, "epochs", 0, 0, 10), 5);
+  EXPECT_EQ(SwitchFlag(flags, "undirect"), true);
+  EXPECT_FALSE(flags.Has("absent"));
+  EXPECT_EQ(flags.Unread(), (Names{"epoch", "lr", "out"}));
+  EXPECT_FALSE(AllFlagsRead(flags));
+  // A value its reader refuses is read: its own error line reports it.
+  EXPECT_EQ(RealFlag(flags, "lr", 0.01, Positive, "lr > 0"), std::nullopt);
+  EXPECT_EQ(flags.GetString("out", ""), "f");
+  EXPECT_TRUE(flags.Has("epoch"));
+  EXPECT_EQ(flags.Unread(), Names{});
+  EXPECT_TRUE(AllFlagsRead(flags));
+}
+
+TEST(CountFlagTest, AcceptsADecimalInTheRangeOnly) {
+  struct Case {
+    const char* arg;  // nullptr: the flag is absent
+    std::optional<int64_t> expected;
+  };
+  const Case cases[] = {
+      {nullptr, 7},  // the fallback, even outside 1..100
+      {"--n=1", 1},
+      {"--n=100", 100},
+      {"--n=007", 7},
+      {"--n=0", std::nullopt},
+      {"--n=101", std::nullopt},
+      {"--n=-1", std::nullopt},
+      {"--n=+5", std::nullopt},
+      {"--n=2.5", std::nullopt},
+      {"--n=1e2", std::nullopt},
+      {"--n=nan", std::nullopt},
+      {"--n=5x", std::nullopt},
+      {"--n=5 ", std::nullopt},
+      {"--n= 5", std::nullopt},
+      {"--n=", std::nullopt},
+      {"--n", std::nullopt},  // bare: "true"
+      {"--n=18446744073709551621", std::nullopt},  // 2^64 + 5
+  };
+  for (const Case& c : cases) {
+    const Flags flags =
+        c.arg == nullptr ? Flags() : ParseArgs({std::string(c.arg)});
+    EXPECT_EQ(CountFlag(flags, "n", 7, 1, 100), c.expected)
+        << (c.arg == nullptr ? "absent" : c.arg);
+  }
+}
+
+TEST(RealFlagTest, AcceptsAFiniteRealInTheRangeOnly) {
+  struct Case {
+    const char* arg;  // nullptr: the flag is absent
+    std::optional<double> expected;
+  };
+  const Case cases[] = {
+      {nullptr, -1.0},  // the fallback, even where accept refuses it
+      {"--r=0.5", 0.5},
+      {"--r=1e-3", 1e-3},
+      {"--r=2.5E2", 250.0},
+      {"--r=0", std::nullopt},
+      {"--r=-0.5", std::nullopt},
+      {"--r=+1", std::nullopt},
+      {"--r=nan", std::nullopt},
+      {"--r=inf", std::nullopt},
+      {"--r=1e309", std::nullopt},  // past the double range
+      {"--r=1x", std::nullopt},
+      {"--r=1 ", std::nullopt},
+      {"--r=", std::nullopt},
+      {"--r", std::nullopt},  // bare: "true"
+  };
+  for (const Case& c : cases) {
+    const Flags flags =
+        c.arg == nullptr ? Flags() : ParseArgs({std::string(c.arg)});
+    EXPECT_EQ(RealFlag(flags, "r", -1.0, Positive, "r > 0"), c.expected)
+        << (c.arg == nullptr ? "absent" : c.arg);
+  }
+  // A float flag is checked on the float it stores.
+  const auto below_one = [](float p) { return p >= 0.0f && p < 1.0f; };
+  const auto positive = [](float v) { return v > 0.0f; };
+  EXPECT_EQ(RealFlag(ParseArgs({"--p=0.9999999999"}), "p", 0.5f, below_one,
+                     "0 <= p < 1"),
+            std::nullopt);  // 1.0f
+  EXPECT_EQ(RealFlag(ParseArgs({"--p=1e-50"}), "p", 0.5f, positive, "p > 0"),
+            std::nullopt);  // 0.0f
+  EXPECT_EQ(RealFlag(ParseArgs({"--p=1e39"}), "p", 0.5f, positive, "p > 0"),
+            std::nullopt);  // past the float range
+  EXPECT_EQ(RealFlag(ParseArgs({"--p=0.25"}), "p", 0.5f, below_one,
+                     "0 <= p < 1"),
+            0.25f);
+}
+
+TEST(SwitchFlagTest, AcceptsSixSpellingsAndABareFlagOnly) {
+  struct Case {
+    std::vector<std::string> args;
+    std::optional<bool> expected;
+  };
+  const Case cases[] = {
+      {{}, false},
+      {{"--s"}, true},
+      {{"--s=true"}, true},
+      {{"--s=1"}, true},
+      {{"--s=yes"}, true},
+      {{"--s", "yes"}, true},
+      {{"--s=false"}, false},
+      {{"--s=0"}, false},
+      {{"--s=no"}, false},
+      {{"--s=ture"}, std::nullopt},
+      {{"--s=maybe"}, std::nullopt},
+      {{"--s=TRUE"}, std::nullopt},
+      {{"--s=2"}, std::nullopt},
+      {{"--s="}, std::nullopt},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(SwitchFlag(ParseArgs(c.args), "s"), c.expected)
+        << (c.args.empty() ? "absent" : c.args.front());
+  }
 }
 
 TEST(ParseDecimalTest, AcceptsDigitsWithinTheRangeOnly) {

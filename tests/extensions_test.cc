@@ -2,6 +2,8 @@
 // (H2GCN / APPNP / GraphSAGE), label propagation, and the Sec. IV-B
 // correlation-guided DP selection.
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "src/amud/amud.h"
@@ -12,8 +14,10 @@
 #include "src/models/extended.h"
 #include "src/models/factory.h"
 #include "src/models/label_propagation.h"
+#include "src/tensor/simd.h"
 #include "src/train/grid_search.h"
 #include "src/train/trainer.h"
+#include "tests/gemm_oracle.h"
 #include "tests/pattern_oracle.h"
 
 namespace adpa {
@@ -273,6 +277,52 @@ TEST(LabelPropagationTest, StrongOnHomophilyWeakOnRandomTopology) {
       LabelPropagationAccuracy(random.WithUndirectedGraph());
   EXPECT_GT(acc_homophilous, 0.7);
   EXPECT_GT(acc_homophilous, acc_random + 0.2);
+}
+
+TEST(LabelPropagationTest, ScoresEqualTheOracleHopsBitwise) {
+  // Each step is one oracle hop (SpMM, a multiply by 1 - alpha, one fma of
+  // alpha * seed) and then the train-row clamp, at every level and thread
+  // count. With 60000 nodes and 8 classes a row of the SpMM costs about
+  // 2 * 6 * 8 operations, so its grain (parallel.h) is under half the rows
+  // and 2 threads run it as two row chunks.
+  DsbmConfig config;
+  config.num_nodes = 60000;
+  config.num_classes = 8;
+  config.class_transition = HomophilousTransition(8, 0.8);
+  config.feature_dim = 1;
+  config.seed = 5;
+  Dataset ds = std::move(GenerateDsbm(config)).value();
+  Rng rng(5);
+  ds.train_idx =
+      std::move(SplitFractions(ds.labels, 8, 0.1, 0.1, &rng)).value().train;
+  constexpr int kSteps = 4;
+  constexpr float kAlpha = 0.2f;
+  Matrix seed(ds.num_nodes(), ds.num_classes);
+  for (int64_t i : ds.train_idx) seed.At(i, ds.labels[i]) = 1.0f;
+  const SparseMatrix op =
+      NormalizeSymmetric(AddSelfLoops(ds.graph.AdjacencyMatrix()));
+  Matrix want = seed;
+  for (int step = 0; step < kSteps; ++step) {
+    want = oracle::SpmmAxpby(op, want, seed, kAlpha, 1.0f - kAlpha);
+    for (int64_t i : ds.train_idx) {
+      for (int64_t k = 0; k < ds.num_classes; ++k) want.At(i, k) = 0.0f;
+      want.At(i, ds.labels[i]) = 1.0f;
+    }
+  }
+  const simd::Level startup_level = simd::ActiveLevel();
+  for (const simd::Level level : simd::SupportedLevels()) {
+    simd::SetLevel(level);
+    for (const int threads : {1, 2}) {
+      SetNumThreads(threads);
+      const Matrix scores = PropagateLabels(ds, kSteps, kAlpha).scores;
+      EXPECT_TRUE(scores.SameShape(want) &&
+                  std::memcmp(scores.data(), want.data(),
+                              sizeof(float) * want.size()) == 0)
+          << simd::LevelName(level) << " @" << threads << "T";
+    }
+  }
+  simd::SetLevel(startup_level);
+  SetNumThreads(0);
 }
 
 // ----------------------------------------------------------- DP selection --

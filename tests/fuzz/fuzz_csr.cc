@@ -3,10 +3,10 @@
 // Invariants under test:
 //  * TryFromCsr never aborts, crashes, or trips ASan/UBSan on any input —
 //    every malformed structure comes back as a non-OK Status;
-//  * on a matrix that validates, Multiply, MultiplyAxpbyInto and
-//    MultiplyTransposed equal the loops of tests/gemm_oracle.h bit for bit
-//    at every supported level, on dense operands drawn from the rest of the
-//    input (Input::TakeChainFloat); Transposed and At run as well.
+//  * on a matrix that validates, Multiply and MultiplyTransposed equal the
+//    loops of tests/gemm_oracle.h bit for bit at every supported level, on
+//    dense operands drawn from the rest of the input
+//    (Input::TakeChainFloat); Transposed and At run as well.
 //
 // Two input modes keep both sides of the validator hot: mode 0 feeds raw
 // untempered arrays (almost always rejected, exercising every error path),
@@ -38,23 +38,13 @@ constexpr int64_t kMaxFeatures = 40;
 void CheckKernels(const SparseMatrix& m, adpa::fuzz::Input* in) {
   const int64_t f = in->TakeInRange(1, kMaxFeatures);
   const Matrix x = adpa::fuzz::TakeChainMatrix(in, m.cols(), f);
-  const Matrix residual = adpa::fuzz::TakeChainMatrix(in, m.rows(), f);
   const Matrix xt = adpa::fuzz::TakeChainMatrix(in, m.rows(), f);
-  const float alpha = in->TakeChainFloat();
-  const float beta = in->TakeChainFloat();
   const Matrix want = adpa::oracle::Spmm(m, x);
-  const Matrix want_fused =
-      adpa::oracle::SpmmAxpby(m, x, residual, alpha, beta);
   const Matrix want_t = adpa::oracle::SpmmTransposed(m, xt);
   for (const adpa::simd::Level level : adpa::simd::SupportedLevels()) {
     adpa::simd::SetLevel(level);
     if (!BitwiseEqual(m.Multiply(x), want)) {
       __builtin_trap();  // SpMM left its CSR-order FMA chain
-    }
-    Matrix fused;
-    m.MultiplyAxpbyInto(x, residual, alpha, beta, &fused);
-    if (!BitwiseEqual(fused, want_fused)) {
-      __builtin_trap();  // the fused hop left SpMM, *beta, fma(alpha)
     }
     if (!BitwiseEqual(m.MultiplyTransposed(xt), want_t)) {
       __builtin_trap();  // SpMMᵀ left the increasing-row scatter

@@ -2,7 +2,7 @@
 // element at a time.
 //   * The backward GEMM layouts: the loops MatMulTransposeA and
 //     MatMulTransposeB ran before their register-tiled kernels.
-//   * The float32 kernels (SpMM, the fused hop, SpMMᵀ, the elementwise ops):
+//   * The float32 kernels (SpMM, SpMMᵀ, the elementwise ops):
 //     the loops the portable level ran before every level shared one
 //     template, with each multiply-add written as one std::fma, so the
 //     oracle rounds once per term in every build.
@@ -104,8 +104,8 @@ inline Matrix Spmm(const SparseMatrix& a, const Matrix& x) {
   return out;
 }
 
-/// The fused hop beta * (a * x) + alpha * residual: Spmm, then one multiply
-/// by beta, then one fma of the residual.
+/// Label propagation's hop beta * (a * x) + alpha * residual: Spmm, then
+/// one multiply by beta, then one fma of the residual.
 inline Matrix SpmmAxpby(const SparseMatrix& a, const Matrix& x,
                         const Matrix& residual, float alpha, float beta) {
   Matrix out = Spmm(a, x);

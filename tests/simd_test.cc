@@ -4,18 +4,16 @@
 // supports:
 //   1. per-level bitwise thread-count invariance — the same level produces
 //      identical bits at 1, 2, and 8 threads for the dense MatMul family,
-//      SpMM, and the fused per-hop chain;
-//   2. SpMM, the fused per-hop chain and SpMMᵀ equal the per-element loops
-//      of tests/gemm_oracle.h bit for bit at every level (one rounding per
-//      term), so every level and build gives the same bits; the dense
-//      MatMul family agrees across levels to relative error (the AVX-512
-//      float runs, the lane-split dot chains);
-//   3. fused == unfused — MultiplyAxpbyInto is bitwise identical to the
-//      Multiply + ScaleInPlace + AddScaledInPlace sequence at every level;
-//   4. the elementwise kernels (one op per element, axpy one FMA) equal
+//      SpMM and SpMMᵀ;
+//   2. SpMM and SpMMᵀ equal the per-element loops of tests/gemm_oracle.h
+//      bit for bit at every level (one rounding per term), so every level
+//      and build gives the same bits; the dense MatMul family agrees across
+//      levels to relative error (the AVX-512 float runs, the lane-split dot
+//      chains);
+//   3. the elementwise kernels (one op per element, axpy one FMA) equal
 //      the oracle chain bit for bit at every level;
-//   5. the full InferenceSession forward obeys 1 and 2 end to end;
-//   6. the backward GEMM layouts keep their per-element chains: at every
+//   4. the full InferenceSession forward obeys 1 and 2 end to end;
+//   5. the backward GEMM layouts keep their per-element chains: at every
 //      level and thread count MatMulTransposeA and MatMulTransposeB equal
 //      the per-element loops of tests/gemm_oracle.h bit for bit.
 //
@@ -286,57 +284,29 @@ TEST(SimdTest, BackwardGemmsMatchTheOracleBitwise) {
   EXPECT_EQ(failures, 0);
 }
 
-TEST(SimdTest, SpmmAndFusedChainAreThreadCountInvariantPerLevel) {
+TEST(SimdTest, SpmmAndTransposeAreThreadCountInvariantPerLevel) {
   DispatchGuard guard;
   Rng rng(13);
   const SparseMatrix op = RandomSparse(kN, kN, 0.08, 21);
   const Matrix x = Matrix::RandomNormal(kN, kM, &rng);
-  const Matrix residual = Matrix::RandomNormal(kN, kM, &rng);
   const Matrix want_spmm = oracle::Spmm(op, x);
-  const Matrix want_fused = oracle::SpmmAxpby(op, x, residual, 0.3f, 0.7f);
   const Matrix want_scatter = oracle::SpmmTransposed(op, x);
   for (simd::Level level : simd::SupportedLevels()) {
     simd::SetLevel(level);
     SetNumThreads(1);
     const Matrix spmm1 = op.Multiply(x);
-    Matrix fused1;
-    op.MultiplyAxpbyInto(x, residual, 0.3f, 0.7f, &fused1);
     const Matrix scatter1 = op.MultiplyTransposed(x);
     EXPECT_TRUE(BitwiseEqual(spmm1, want_spmm))
         << simd::LevelName(level) << " SpMM vs oracle";
-    EXPECT_TRUE(BitwiseEqual(fused1, want_fused))
-        << simd::LevelName(level) << " fused chain vs oracle";
     EXPECT_TRUE(BitwiseEqual(scatter1, want_scatter))
         << simd::LevelName(level) << " SpMM^T vs oracle";
     for (int threads : {2, 8}) {
       SetNumThreads(threads);
       EXPECT_TRUE(BitwiseEqual(op.Multiply(x), spmm1))
           << simd::LevelName(level) << " SpMM @" << threads << "T";
-      Matrix fused;
-      op.MultiplyAxpbyInto(x, residual, 0.3f, 0.7f, &fused);
-      EXPECT_TRUE(BitwiseEqual(fused, fused1))
-          << simd::LevelName(level) << " fused chain @" << threads << "T";
       EXPECT_TRUE(BitwiseEqual(op.MultiplyTransposed(x), scatter1))
           << simd::LevelName(level) << " SpMM^T @" << threads << "T";
     }
-  }
-}
-
-TEST(SimdTest, FusedChainMatchesUnfusedSequenceBitwisePerLevel) {
-  DispatchGuard guard;
-  Rng rng(14);
-  const SparseMatrix op = RandomSparse(kN, kN, 0.08, 22);
-  const Matrix x = Matrix::RandomNormal(kN, kM, &rng);
-  const float alpha = 0.15f;
-  const float beta = 1.0f - alpha;
-  for (simd::Level level : simd::SupportedLevels()) {
-    simd::SetLevel(level);
-    Matrix unfused = op.Multiply(x);
-    unfused.ScaleInPlace(beta);
-    unfused.AddScaledInPlace(x, alpha);  // residual aliases the input
-    Matrix fused;
-    op.MultiplyAxpbyInto(x, x, alpha, beta, &fused);
-    EXPECT_TRUE(BitwiseEqual(fused, unfused)) << simd::LevelName(level);
   }
 }
 

@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <optional>
 #include <string>
 
@@ -74,18 +73,17 @@ int Usage() {
   return 2;
 }
 
-/// The largest --seed: seeds are read as int64 and handed to Rng unsigned.
-constexpr int64_t kMaxSeed = std::numeric_limits<int64_t>::max();
-
 int Generate(const Flags& flags) {
   const std::string name = flags.GetString("name", "");
   const std::string out = flags.GetString("out", "");
-  if (name.empty() || out.empty()) return Usage();
   const std::optional<int64_t> seed =
       CountFlag(flags, "seed", 0, 0, kMaxSeed);
   const std::optional<double> scale = RealFlag(
       flags, "scale", 1.0, [](double v) { return v > 0.0; }, "scale > 0");
-  if (!seed || !scale) return Usage();
+  if (name.empty() || out.empty() || !seed || !scale ||
+      !AllFlagsRead(flags)) {
+    return Usage();
+  }
   Result<Dataset> dataset =
       BuildBenchmarkByName(name, static_cast<uint64_t>(*seed), *scale);
   if (!dataset.ok()) return Fail(dataset.status());
@@ -100,7 +98,7 @@ int Generate(const Flags& flags) {
 
 int Analyze(const Flags& flags) {
   const std::string in = flags.GetString("in", "");
-  if (in.empty()) return Usage();
+  if (in.empty() || !AllFlagsRead(flags)) return Usage();
   Result<Dataset> dataset = LoadDataset(in);
   if (!dataset.ok()) return Fail(dataset.status());
 
@@ -141,11 +139,9 @@ int Analyze(const Flags& flags) {
 int Train(const Flags& flags) {
   const std::string in = flags.GetString("in", "");
   const std::string model_name = flags.GetString("model", "ADPA");
-  if (in.empty()) return Usage();
   // Bounded before anything runs: counts stay ints, and a model's width and
   // step count stay within what a checkpoint can hold, so every model
   // trained here can be saved and loaded again.
-  constexpr int64_t kMaxCount = std::numeric_limits<int32_t>::max();
   constexpr int64_t kMaxPatternOrder = 5;  // ModelConfig::pattern_order
   const CheckpointLimits limits;
   const std::optional<int64_t> hidden =
@@ -169,17 +165,25 @@ int Train(const Flags& flags) {
       flags, "lr", 0.01f, [](float v) { return v > 0.0f; }, "lr > 0");
   const std::optional<int64_t> seed =
       CountFlag(flags, "seed", 42, 0, kMaxSeed);
-  if (!hidden || !steps || !order || !epochs || !patience ||
-      !checkpoint_every || !dropout || !lr || !seed) {
+  const std::optional<bool> undirect = SwitchFlag(flags, "undirect");
+  const std::optional<bool> check_finite = SwitchFlag(flags, "check_finite");
+  const std::string load_path = flags.GetString("load_checkpoint", "");
+  const std::string resume_path = flags.GetString("resume_from", "");
+  // A resumed run keeps snapshotting into the file it resumed from, so it
+  // stays crash-safe without re-plumbing flags.
+  const std::string checkpoint_path =
+      flags.GetString("checkpoint_path", resume_path);
+  const std::string save_path = flags.GetString("save_checkpoint", "");
+  if (in.empty() || !hidden || !steps || !order || !epochs || !patience ||
+      !checkpoint_every || !dropout || !lr || !seed || !undirect ||
+      !check_finite || !AllFlagsRead(flags)) {
     return Usage();
   }
   Result<Dataset> dataset = LoadDataset(in);
   if (!dataset.ok()) return Fail(dataset.status());
-  Dataset input = flags.GetBool("undirect", false)
-                      ? dataset->WithUndirectedGraph()
-                      : std::move(*dataset);
+  Dataset input =
+      *undirect ? dataset->WithUndirectedGraph() : std::move(*dataset);
 
-  const std::string load_path = flags.GetString("load_checkpoint", "");
   if (!load_path.empty()) {
     Result<Checkpoint> checkpoint = TryLoadCheckpoint(load_path);
     if (!checkpoint.ok()) return Fail(checkpoint.status());
@@ -205,7 +209,6 @@ int Train(const Flags& flags) {
     return 0;
   }
 
-  const std::string resume_path = flags.GetString("resume_from", "");
   ModelConfig config;
   TrainConfig train_config;
   std::string resolved_model_name = model_name;
@@ -229,13 +232,7 @@ int Train(const Flags& flags) {
     model = CreateModelWithPatterns(resolved_model_name, input, config,
                                     snapshot->patterns, &rng);
     train_config = snapshot->train_config;
-    train_config.check_finite = flags.GetBool("check_finite", false);
     train_config.resume_from = resume_path;
-    // Keep snapshotting into the same file by default: a run that survived
-    // one interruption should stay crash-safe without re-plumbing flags.
-    train_config.checkpoint_every = static_cast<int>(*checkpoint_every);
-    train_config.checkpoint_path =
-        flags.GetString("checkpoint_path", resume_path);
   } else {
     config.hidden = *hidden;
     config.propagation_steps = static_cast<int>(*steps);
@@ -245,10 +242,10 @@ int Train(const Flags& flags) {
     train_config.max_epochs = static_cast<int>(*epochs);
     train_config.patience = static_cast<int>(*patience);
     train_config.learning_rate = *lr;
-    train_config.check_finite = flags.GetBool("check_finite", false);
-    train_config.checkpoint_every = static_cast<int>(*checkpoint_every);
-    train_config.checkpoint_path = flags.GetString("checkpoint_path", "");
   }
+  train_config.check_finite = *check_finite;
+  train_config.checkpoint_every = static_cast<int>(*checkpoint_every);
+  train_config.checkpoint_path = checkpoint_path;
   if (!model.ok()) return Fail(model.status());
   if (train_config.checkpoint_every > 0 &&
       train_config.checkpoint_path.empty()) {
@@ -274,7 +271,6 @@ int Train(const Flags& flags) {
               result.best_val_accuracy * 100.0, result.best_epoch,
               result.test_accuracy * 100.0, result.epochs_run);
 
-  const std::string save_path = flags.GetString("save_checkpoint", "");
   if (!save_path.empty()) {
     const Checkpoint checkpoint = MakeCheckpoint(
         *model->get(), resolved_model_name, input, config, train_config);

@@ -29,7 +29,7 @@
 // Flags:
 //   --listen=HOST:PORT    serve over TCP instead of stdin/stdout
 //   --no_reload           refuse {"reload": ...} admin requests and ignore
-//                         SIGHUP
+//                         SIGHUP (a switch: =false keeps reload on)
 //   --idle_timeout_ms=N   close connections idle for N ms, 0..2^31-1 (0 =
 //                         never, the default)
 //   --stall_timeout_ms=N  drop connections whose request line has been
@@ -37,7 +37,7 @@
 //                         defense; 0 = never, the default)
 //   --checkpoint=F        trained model (required)
 //   --in=F                the dataset the model was trained on (required)
-//   --undirect            mirror the training run's --undirect
+//   --undirect            mirror the training run's --undirect (a switch)
 //   --max_batch_nodes=N   node cap per coalesced forward, 1..2^20 (default
 //                         4096)
 //   --max_queue_depth=N   pending-request ceiling before Submit is rejected
@@ -46,8 +46,8 @@
 //   --simd_level=<portable|avx2|avx512>
 //                         pin the kernel dispatch level (default: fastest
 //                         level the CPU supports)
-// Unknown flags are ignored. An integer flag outside its range prints the
-// usage and exits 2.
+// An unknown flag, a value outside its range or a switch other than true,
+// 1, yes, false, 0 or no prints the usage and exits 2 before anything loads.
 
 #include <chrono>
 #include <csignal>
@@ -142,7 +142,6 @@ int Main(int argc, char** argv) {
   if (!flags.Parse(argc, argv)) return Usage();
   const std::string checkpoint_path = flags.GetString("checkpoint", "");
   const std::string dataset_path = flags.GetString("in", "");
-  if (checkpoint_path.empty() || dataset_path.empty()) return Usage();
   if (const int code = ApplyRuntimeFlags(flags, Usage); code != 0) {
     return code;
   }
@@ -160,21 +159,24 @@ int Main(int argc, char** argv) {
       CountFlag(flags, "idle_timeout_ms", 0, 0, kMaxTimeoutMs);
   const std::optional<int64_t> stall_timeout_ms =
       CountFlag(flags, "stall_timeout_ms", 0, 0, kMaxTimeoutMs);
-  if (!max_batch_nodes || !max_queue_depth || !idle_timeout_ms ||
-      !stall_timeout_ms) {
+  const std::optional<bool> undirect = SwitchFlag(flags, "undirect");
+  const std::optional<bool> no_reload = SwitchFlag(flags, "no_reload");
+  const bool tcp = flags.Has("listen");
+  const std::string listen_address = flags.GetString("listen", "");
+  if (checkpoint_path.empty() || dataset_path.empty() || !max_batch_nodes ||
+      !max_queue_depth || !idle_timeout_ms || !stall_timeout_ms ||
+      !undirect || !no_reload || !AllFlagsRead(flags)) {
     return Usage();
   }
 
   net::ServerOptions options;
   options.batcher.max_batch_nodes = *max_batch_nodes;
   options.batcher.max_queue_depth = *max_queue_depth;
-  options.allow_reload = !flags.Has("no_reload");
+  options.allow_reload = !*no_reload;
   options.idle_timeout_ms = *idle_timeout_ms;
   options.stall_timeout_ms = *stall_timeout_ms;
-  const bool tcp = flags.Has("listen");
   if (tcp) {
-    Result<net::HostPort> listen =
-        net::ParseHostPort(flags.GetString("listen", ""));
+    Result<net::HostPort> listen = net::ParseHostPort(listen_address);
     if (!listen.ok()) return Fail(listen.status());
     options.host = listen->host;
     options.port = listen->port;
@@ -193,9 +195,8 @@ int Main(int argc, char** argv) {
 
   Result<Dataset> dataset = LoadDataset(dataset_path);
   if (!dataset.ok()) return Fail(dataset.status());
-  const Dataset input = flags.GetBool("undirect", false)
-                            ? dataset->WithUndirectedGraph()
-                            : std::move(*dataset);
+  const Dataset input =
+      *undirect ? dataset->WithUndirectedGraph() : std::move(*dataset);
 
   serve::SessionRegistry registry(&input, {});
   const Result<serve::SessionRegistry::ReloadInfo> initial =

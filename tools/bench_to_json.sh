@@ -9,8 +9,8 @@
 #
 # The kernel rows include the Eq. 10 fusion GEMM of perfbench's train graph
 # in all three layouts (BM_FusionMatMul*: forward X·W, dX = dY·Wᵀ,
-# dW = Xᵀ·dY) at every level and at 1, 2 and 4 threads, and one ADPA
-# training step (BM_AdpaTrainEpoch).
+# dW = Xᵀ·dY) at every level and at 1, 2 and 4 threads, one ADPA training
+# step and forward (BM_AdpaTrainEpoch, BM_AdpaForward) and AMUD's analysis.
 #
 # Provenance guard: both binaries self-report whether THIS code was compiled
 # with NDEBUG ("adpa_build_type" in the google-benchmark context,
@@ -64,7 +64,7 @@ fi
 # "adpa_nproc". serve_bench and load_bench apply the same rule themselves
 # and record the count as "nproc".
 NPROC="$(getconf _NPROCESSORS_ONLN)"
-FILTER='BM_(MatMulSeedKernel512|MatMulBlocked512|MatMulDispatch512|SpMM|DenseMatMul|DpPropagation|HopChainUnfused|HopChainFused|FusionMatMul|AdpaTrainEpoch)'
+FILTER='BM_(MatMulSeedKernel512|MatMulBlocked512|MatMulDispatch512|SpMM|DenseMatMul|DpPropagation|HopChainUnfused|FusionMatMul|AdpaTrainEpoch|AdpaForward|AmudAnalysis)'
 ROWS=""
 for row in $("$BENCH_BIN" --benchmark_list_tests=true \
                --benchmark_filter="$FILTER"); do

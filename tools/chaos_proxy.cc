@@ -22,8 +22,9 @@
 //   chaos_proxy --upstream=HOST:PORT [--listen=HOST:PORT] [--seed=N]
 //               [--intensity=P]
 //
-// Port 0 (default) binds an ephemeral port announced on stderr as
-// "proxy listening on HOST:PORT". Runs until killed.
+// --intensity is the per-chunk fault probability. Port 0 (default) binds an
+// ephemeral port announced on stderr as "proxy listening on HOST:PORT".
+// Runs until killed.
 
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -37,6 +38,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -199,20 +201,24 @@ int Fail(const Status& status) {
 
 int Main(int argc, char** argv) {
   Flags flags;
-  if (!flags.Parse(argc, argv) || !flags.Has("upstream")) {
+  const bool parsed = flags.Parse(argc, argv);
+  const std::string upstream_address = flags.GetString("upstream", "");
+  const std::string listen_address = flags.GetString("listen", "127.0.0.1:0");
+  const std::optional<int64_t> seed = CountFlag(flags, "seed", 1, 0, kMaxSeed);
+  const std::optional<double> intensity = RealFlag(
+      flags, "intensity", 0.25, [](double p) { return p >= 0.0 && p <= 1.0; },
+      "0 <= intensity <= 1");
+  if (!parsed || upstream_address.empty() || !seed || !intensity ||
+      !AllFlagsRead(flags)) {
     std::fprintf(stderr,
                  "usage: chaos_proxy --upstream=HOST:PORT "
                  "[--listen=HOST:PORT] [--seed=N] [--intensity=P]\n");
     return 2;
   }
-  const Result<net::HostPort> upstream =
-      net::ParseHostPort(flags.GetString("upstream", ""));
+  const Result<net::HostPort> upstream = net::ParseHostPort(upstream_address);
   if (!upstream.ok()) return Fail(upstream.status());
-  const Result<net::HostPort> listen =
-      net::ParseHostPort(flags.GetString("listen", "127.0.0.1:0"));
+  const Result<net::HostPort> listen = net::ParseHostPort(listen_address);
   if (!listen.ok()) return Fail(listen.status());
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  const double intensity = flags.GetDouble("intensity", 0.25);
 
   std::signal(SIGPIPE, SIG_IGN);
 
@@ -229,7 +235,7 @@ int Main(int argc, char** argv) {
                "intensity %g\n",
                listen->host.c_str(), static_cast<unsigned>(listener->port),
                upstream->host.c_str(), static_cast<unsigned>(upstream->port),
-               static_cast<unsigned long long>(seed), intensity);
+               static_cast<unsigned long long>(*seed), *intensity);
   std::fflush(stderr);
 
   uint64_t connection_index = 0;
@@ -250,11 +256,12 @@ int Main(int argc, char** argv) {
                    server_side.status().message().c_str());
       continue;  // drop the client (FdOwner closes it) and keep listening
     }
-    const uint64_t conn_seed = seed ^ (connection_index * 2 + 1);
+    const uint64_t conn_seed =
+        static_cast<uint64_t>(*seed) ^ (connection_index * 2 + 1);
     ++connection_index;
     std::thread([client = std::move(client),
                  upstream_fd = std::move(*server_side), conn_seed,
-                 intensity]() mutable {
+                 intensity = *intensity]() mutable {
       ConnectionPump(std::move(client), std::move(upstream_fd), conn_seed,
                      intensity)
           .Run();
